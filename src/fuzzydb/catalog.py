@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import csv
 import enum
+import math
 import os
 import re
 from dataclasses import dataclass, field
@@ -31,12 +32,11 @@ from .core import (
     SimilarityReport,
     Trapezoid,
     ValueKind,
-    check_degree,
     fold_name,
     format_number,
     validate_similarity,
 )
-from .errors import CatalogError, ConversionError, FuzzyDbError
+from .errors import CatalogError, ConversionError, FuzzyDbError, undecodable_line
 
 ATTRIBUTES_FILE = "attributes.tsv"
 LABELS_FILE = "labels.tsv"
@@ -288,7 +288,7 @@ def decode_row(row: ConversionRow, attr: AttributeDescriptor) -> FuzzyValue:
         if ft == 4:
             _require(row, attr, "x...")
             raw = _number(row, attr, 0)
-            if raw != int(raw):
+            if not raw.is_integer():
                 raise ConversionError(f"{attr.qualified}: label id must be an integer, got {raw!r}")
             ld = attr.label_by_id(int(raw))
             if ld is None:
@@ -421,6 +421,8 @@ class Catalog:
                     f"label {name!r} on numeric column {attr.qualified} needs trapezoid corners"
                 )
             a, b, c, d = (float(x) for x in corners)
+            if not all(math.isfinite(x) for x in (a, b, c, d)):
+                raise CatalogError(f"label {name!r} on {attr.qualified}: corners must be finite")
             trap = Trapezoid(a, b, c, d)
         else:
             if attr.ftype is not FuzzyType.FUZZY_SCALAR:
@@ -434,26 +436,13 @@ class Catalog:
         attr.attach_label(ld)
         return ld
 
-    def resolve_label(self, table: str, column: str, name: str) -> LabelDefinition:
-        attr = self.get(table, column)
-        ld = attr.find_label(name)
-        if ld is None:
-            raise CatalogError(f"label {name!r} is not defined for {attr.qualified}")
-        return ld
-
     def set_similarity(self, table: str, column: str, name1: str, name2: str, degree: float) -> None:
         """Record how interchangeable two scalar domain elements are (symmetric)."""
         attr = self.get(table, column)
         for name in (name1, name2):
             if attr.find_label(name) is None:
                 raise CatalogError(f"label {name!r} is not defined for {attr.qualified}")
-        attr.ensure_similarity().set_degree(name1, name2, check_degree(degree, "similarity degree"))
-
-    def encode(self, table: str, column: str, value: FuzzyValue) -> ConversionRow:
-        return encode_value(value, self.get(table, column))
-
-    def decode(self, table: str, column: str, row: ConversionRow) -> FuzzyValue:
-        return decode_row(row, self.get(table, column))
+        attr.ensure_similarity().set_degree(name1, name2, degree)
 
     def validate(self) -> List[Tuple[AttributeDescriptor, SimilarityReport]]:
         """Run the similarity checks for every unordered column that has a relation."""
@@ -497,17 +486,10 @@ def save_catalog(catalog: Catalog, directory) -> None:
         w = csv.writer(f, delimiter="\t", lineterminator="\n")
         w.writerow(_SIMILARITY_HEADER)
         for a in attrs:
-            rel = a.similarity
-            if rel is None:
-                continue
-            # One line per unordered pair; omitted pairs default to 0.
-            for i in range(len(rel.domain)):
-                for j in range(i + 1, len(rel.domain)):
-                    if rel.matrix[i][j] != 0.0:
-                        w.writerow(
-                            [a.table, a.column, rel.domain[i], rel.domain[j],
-                             format_number(rel.matrix[i][j])]
-                        )
+            if a.similarity is not None:
+                # One line per unordered pair; omitted pairs default to 0.
+                for name1, name2, s in a.similarity.pairs():
+                    w.writerow([a.table, a.column, name1, name2, format_number(s)])
 
 
 def _read_tsv(path, header: Tuple[str, ...], required: bool):
@@ -516,9 +498,12 @@ def _read_tsv(path, header: Tuple[str, ...], required: bool):
         if required:
             raise CatalogError(f"missing catalog file {path}")
         return
-    with open(path, encoding="utf-8", newline="") as f:
+    with open(path, encoding="utf-8-sig", newline="") as f:
         reader = csv.reader(f, delimiter="\t")
-        rows = [(reader.line_num, row) for row in reader if row and any(cell for cell in row)]
+        try:
+            rows = [(reader.line_num, row) for row in reader if row and any(cell for cell in row)]
+        except UnicodeDecodeError:
+            raise CatalogError(f"{path}:{undecodable_line(path)}: not valid UTF-8") from None
     if not rows or tuple(rows[0][1]) != header:
         raise CatalogError(f"{path}: expected header {list(header)}")
     for lineno, row in rows[1:]:
@@ -568,7 +553,7 @@ def load_catalog(directory) -> Catalog:
             raise CatalogError(f"{where}: give all four corners or none")
         try:
             catalog.define_label(table, column, name, corners, fuzzy_id)
-        except CatalogError as exc:
+        except FuzzyDbError as exc:
             raise CatalogError(f"{where}: {exc}") from None
 
     path = os.path.join(directory, SIMILARITY_FILE)

@@ -141,15 +141,9 @@ def _catalog_summary(catalog: Catalog) -> str:
                 else:
                     parts.append(f"{ld.name}({ld.fuzzy_id})")
             lines.append("  labels: " + "; ".join(parts))
-        rel = attr.similarity
-        if rel is not None:
-            pairs = []
-            for i in range(len(rel.domain)):
-                for j in range(i + 1, len(rel.domain)):
-                    if rel.matrix[i][j] != 0.0:
-                        pairs.append(f"{rel.domain[i]}~{rel.domain[j]}={rel.matrix[i][j]}")
-            if pairs:
-                lines.append("  similarity: " + ", ".join(pairs))
+        pairs = attr.similarity.pairs() if attr.similarity is not None else []
+        if pairs:
+            lines.append("  similarity: " + ", ".join(f"{d1}~{d2}={s}" for d1, d2, s in pairs))
     return "\n".join(lines)
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Tuple, Union
+from typing import Callable, List, Optional, Tuple, Union
 
 from .errors import FuzzyValueError, SimilarityError
 
@@ -76,11 +76,6 @@ class Trapezoid:
 
     def corners(self) -> Tuple[float, float, float, float]:
         return (self.a, self.b, self.c, self.d)
-
-
-def membership(t: Trapezoid, x: float) -> Degree:
-    """Module-level alias for Trapezoid.membership."""
-    return t.membership(x)
 
 
 class ValueKind(enum.Enum):
@@ -296,11 +291,16 @@ class SimilarityRelation:
         except KeyError:
             raise SimilarityError(f"element {name!r} is not in the similarity domain") from None
 
-    def __contains__(self, name: str) -> bool:
-        return fold_name(name) in self._index
-
     def get(self, d1: str, d2: str) -> Degree:
         return self.matrix[self.index_of(d1)][self.index_of(d2)]
+
+    def pairs(self) -> List[Tuple[str, str, Degree]]:
+        """(d1, d2, s) for each pair of distinct elements with s != 0, in domain order."""
+        n = len(self.domain)
+        return [
+            (self.domain[i], self.domain[j], self.matrix[i][j])
+            for i in range(n) for j in range(i + 1, n) if self.matrix[i][j] != 0.0
+        ]
 
     def set_degree(self, d1: str, d2: str, s: Degree) -> None:
         """Set s(d1, d2) and s(d2, d1); the diagonal is pinned at 1."""

@@ -14,6 +14,8 @@ elements written by name.  Examples:
     7;25;5;-5;45    trapezoid 25,30,40,45   (ordered column)
     3;1;blanco      1/blanco                (scalar column)
     4;0.4;rojo;0.6;azul                     (scalar column)
+
+Numbers must be finite.  Files are UTF-8 and may start with a byte order mark.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import os
 import time
 from dataclasses import dataclass, field
@@ -35,17 +38,14 @@ from .catalog import (
     encode_value,
 )
 from .core import FuzzyValue, ValueKind, feq, fold_name, format_number
-from .errors import DataFileError, FuzzyDbError
+from .errors import DataFileError, FuzzyDbError, undecodable_line
 from .fsql.compiler import (
-    CompiledAnd,
     CompiledCondition,
-    CompiledOr,
     CompiledPlan,
-    DegreeColumn,
     PhysicalColumn,
     compile_query,
 )
-from .fsql.parser import parse_query
+from .fsql.parser import And, parse_query
 
 
 @dataclass
@@ -66,29 +66,35 @@ class Table:
             raise DataFileError(f"table {self.name} has no column {column!r}") from None
 
 
-def _is_number(text: str) -> bool:
+def _finite(text: str) -> Optional[float]:
+    """The number text spells, or None when it is not a finite number."""
     try:
-        float(text)
+        value = float(text)
     except ValueError:
-        return False
-    return True
+        return None
+    return value if math.isfinite(value) else None
 
 
 def parse_cell(text: str, attr: AttributeDescriptor):
-    """Parse one CSV cell for attr; returns a plain value or a FuzzyValue."""
+    """Parse one CSV cell for attr; returns a plain value or a FuzzyValue.
+
+    Numbers must be finite: inf and nan are rejected like any other non-number.
+    """
     text = text.strip()
     if attr.ftype is FuzzyType.PRECISE:
         if attr.domain_kind != "numeric":
             return text
-        if not _is_number(text):
-            raise DataFileError(f"expected a number, got {text!r}")
-        return float(text)
+        value = _finite(text)
+        if value is None:
+            raise DataFileError(f"expected a finite number, got {text!r}")
+        return value
     if not text:
         raise DataFileError("empty cell; use 2 for a null value")
     parts = [p.strip() for p in text.split(";")]
-    if not _is_number(parts[0]) or float(parts[0]) != int(float(parts[0])):
+    code = _finite(parts[0])
+    if code is None or not code.is_integer():
         raise DataFileError(f"expected a fuzzy type code, got {parts[0]!r}")
-    ft = int(float(parts[0]))
+    ft = int(code)
     rest = parts[1:]
     if ft in (0, 1, 2):
         if any(rest):
@@ -101,30 +107,27 @@ def parse_cell(text: str, attr: AttributeDescriptor):
         rest = rest + [""] * (4 - len(rest))
         fields = []
         for i, part in enumerate(rest):
-            if part == "":
-                fields.append(None)
-            elif ft == 4 and i == 0 and not _is_number(part):
+            value = _finite(part) if part else None
+            if value is not None or part == "":
+                fields.append(value)
+            elif ft == 4 and i == 0:
                 # labels are stored by name in data files
                 ld = attr.find_label(part)
                 if ld is None:
                     raise DataFileError(f"label {part!r} is not defined for {attr.qualified}")
                 fields.append(float(ld.fuzzy_id))
             else:
-                if not _is_number(part):
-                    raise DataFileError(f"expected a number, got {part!r}")
-                fields.append(float(part))
+                raise DataFileError(f"expected a finite number, got {part!r}")
         return decode_row(ConversionRow(ft, tuple(fields)), attr)
     # scalar column: alternating degree and element fields
     if any(part == "" for part in rest):
         raise DataFileError(f"empty field in {text!r}")
     fields = []
     for i, part in enumerate(rest):
-        if i % 2 == 0:
-            if not _is_number(part):
-                raise DataFileError(f"expected a degree, got {part!r}")
-            fields.append(float(part))
-        else:
-            fields.append(float(part) if _is_number(part) else part)
+        value = _finite(part)
+        if i % 2 == 0 and value is None:
+            raise DataFileError(f"expected a degree, got {part!r}")
+        fields.append(part if value is None else value)
     value = decode_row(ConversionRow(ft, tuple(fields)), attr)
     for _, element in value.pairs:
         if isinstance(element, str) and attr.find_label(element) is None:
@@ -152,20 +155,29 @@ def format_cell(value, attr: AttributeDescriptor) -> str:
     return ";".join(texts)
 
 
+def _utf8_lines(f, path):
+    """The lines of f; a byte that is not UTF-8 becomes a DataFileError naming its line."""
+    try:
+        yield from f
+    except UnicodeDecodeError:
+        raise DataFileError(f"{path}:{undecodable_line(path)}: not valid UTF-8") from None
+
+
 def load_table(path, table_name: str, catalog: Catalog) -> Table:
     """Read a table's CSV file, checking it against the catalog schema.
 
     The file must name exactly the registered columns (any order, any case);
     cells come back in schema order.  Errors point at file, row, and column.
+    The file is UTF-8 and may start with a byte order mark.
     """
     schema = catalog.table_schema(table_name)
     by_name = {fold_name(attr.column): attr for attr in schema}
     try:
-        f = open(path, encoding="utf-8", newline="")
+        f = open(path, encoding="utf-8-sig", newline="")
     except OSError as exc:
         raise DataFileError(f"cannot open table file: {exc}") from None
     with f:
-        reader = csv.reader(f)
+        reader = csv.reader(_utf8_lines(f, path))
         try:
             header = next(reader)
         except StopIteration:
@@ -237,7 +249,7 @@ def _condition_degree(cond: CompiledCondition, cell) -> float:
 def _satisfied(node, degrees: List[float]) -> bool:
     if isinstance(node, CompiledCondition):
         return degrees[node.index] >= node.threshold
-    if isinstance(node, CompiledAnd):
+    if isinstance(node, And):
         return all(_satisfied(child, degrees) for child in node.children)
     return any(_satisfied(child, degrees) for child in node.children)
 

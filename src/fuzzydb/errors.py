@@ -42,3 +42,17 @@ class CompileError(FsqlError):
 
 class DataFileError(FuzzyDbError):
     """Malformed table data file; messages include the offending row number."""
+
+
+def undecodable_line(path) -> int:
+    """1-based line of the first byte in path that is not UTF-8, or 0 if there is none.
+
+    Readers call this only after a decoding failure, so normal reads stay streaming.
+    """
+    with open(path, "rb") as f:
+        data = f.read()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        return data.count(b"\n", 0, exc.start) + 1
+    return 0

@@ -15,9 +15,7 @@ from .parser import (
     render_query,
 )
 from .compiler import (
-    CompiledAnd,
     CompiledCondition,
-    CompiledOr,
     CompiledPlan,
     DegreeColumn,
     PhysicalColumn,
@@ -40,8 +38,6 @@ __all__ = [
     "render_query",
     "CompiledPlan",
     "CompiledCondition",
-    "CompiledAnd",
-    "CompiledOr",
     "PhysicalColumn",
     "DegreeColumn",
     "compile_query",

@@ -25,6 +25,7 @@ from .parser import (
     Query,
     Wildcard,
     parse_query,
+    render_filter,
     render_query,
 )
 
@@ -72,35 +73,13 @@ class CompiledCondition:
         return f"{self.attr.column} FEQ {operand} THOLD {format_number(self.threshold)}"
 
 
-@dataclass(frozen=True)
-class CompiledAnd:
-    children: Tuple[object, ...]
-
-    def render(self) -> str:
-        parts = []
-        for child in self.children:
-            text = child.render()
-            if isinstance(child, CompiledOr):
-                text = f"({text})"
-            parts.append(text)
-        return " AND ".join(parts)
-
-
-@dataclass(frozen=True)
-class CompiledOr:
-    children: Tuple[object, ...]
-
-    def render(self) -> str:
-        return " OR ".join(child.render() for child in self.children)
-
-
-FilterNode = Union[CompiledCondition, CompiledAnd, CompiledOr]
+# The filter tree reuses the parser's And/Or nodes with CompiledCondition leaves.
+FilterNode = Union[CompiledCondition, And, Or]
 
 
 @dataclass(frozen=True)
 class CompiledPlan:
     table: str
-    schema: Tuple[AttributeDescriptor, ...]
     outputs: Tuple[OutputColumn, ...]
     conditions: Tuple[CompiledCondition, ...]
     tree: Optional[FilterNode]
@@ -126,24 +105,10 @@ class CompiledPlan:
             lines.append("conditions:")
             for cond in self.conditions:
                 lines.append(f"  {cond.index + 1}. {cond.render()}")
-            lines.append(f"filter: {_render_tree(self.tree)}")
+            lines.append(f"filter: {render_filter(self.tree, lambda cond: str(cond.index + 1))}")
         else:
             lines.append("no filter: every row qualifies")
         return "\n".join(lines)
-
-
-def _render_tree(node: FilterNode) -> str:
-    if isinstance(node, CompiledCondition):
-        return str(node.index + 1)
-    if isinstance(node, CompiledAnd):
-        parts = []
-        for child in node.children:
-            text = _render_tree(child)
-            if isinstance(child, CompiledOr):
-                text = f"({text})"
-            parts.append(text)
-        return " AND ".join(parts)
-    return " OR ".join(_render_tree(child) for child in node.children)
 
 
 def _fail(message: str, pos) -> CompileError:
@@ -171,7 +136,6 @@ class _Compiler:
             outputs.extend(self._output(item))
         return CompiledPlan(
             table=self.table,
-            schema=tuple(self.schema),
             outputs=tuple(outputs),
             conditions=tuple(self.conditions),
             tree=tree,
@@ -208,10 +172,8 @@ class _Compiler:
     def _filter(self, node) -> FilterNode:
         if isinstance(node, Condition):
             return self._condition(node)
-        if isinstance(node, And):
-            return CompiledAnd(tuple(self._filter(child) for child in node.children))
-        if isinstance(node, Or):
-            return CompiledOr(tuple(self._filter(child) for child in node.children))
+        if isinstance(node, (And, Or)):
+            return type(node)(tuple(self._filter(child) for child in node.children))
         raise CompileError(f"unsupported filter node {type(node).__name__}")
 
     def _condition(self, cond: Condition) -> CompiledCondition:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Optional
 
@@ -87,7 +88,10 @@ def tokenize(source: str) -> List[Token]:
                 while j < n and source[j].isdigit():
                     j += 1
             text = source[i:j]
-            tokens.append(Token("NUMBER", text, line, start_col, value=float(text)))
+            value = float(text)
+            if not math.isfinite(value):
+                raise FsqlSyntaxError(f"number {text[:20]}... is too large", line, start_col)
+            tokens.append(Token("NUMBER", text, line, start_col, value=value))
             column += j - i
             i = j
             continue

@@ -103,15 +103,6 @@ class And:
 
     children: Tuple[object, ...]
 
-    def render(self) -> str:
-        parts = []
-        for child in self.children:
-            text = child.render()
-            if isinstance(child, Or):
-                text = f"({text})"
-            parts.append(text)
-        return " AND ".join(parts)
-
 
 @dataclass(frozen=True)
 class Or:
@@ -119,11 +110,23 @@ class Or:
 
     children: Tuple[object, ...]
 
-    def render(self) -> str:
-        return " OR ".join(child.render() for child in self.children)
-
 
 BoolExpr = Union[Condition, And, Or]
+
+
+def render_filter(node, leaf=lambda cond: cond.render()) -> str:
+    """Text of an AND/OR tree; leaf gives each condition's text.
+
+    AND binds tighter than OR, so only an OR under an AND needs parentheses.
+    The leaves may be parsed or compiled conditions.
+    """
+    if not isinstance(node, (And, Or)):
+        return leaf(node)
+    parts = []
+    for child in node.children:
+        text = render_filter(child, leaf)
+        parts.append(f"({text})" if isinstance(node, And) and isinstance(child, Or) else text)
+    return (" AND " if isinstance(node, And) else " OR ").join(parts)
 
 
 @dataclass(frozen=True)
@@ -136,7 +139,7 @@ class Query:
     def render(self) -> str:
         text = f"SELECT {', '.join(item.render() for item in self.items)} FROM {self.table}"
         if self.where is not None:
-            text += f" WHERE {self.where.render()}"
+            text += f" WHERE {render_filter(self.where)}"
         return text + ";"
 
     def conditions(self) -> List[Condition]:

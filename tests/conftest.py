@@ -1,6 +1,7 @@
 """Shared fixtures: the bundled example catalog and its tables."""
 
 import os
+import shutil
 
 import pytest
 
@@ -15,6 +16,12 @@ def case_dir():
 @pytest.fixture()
 def case_catalog(case_dir):
     return load_catalog(case_dir)
+
+
+@pytest.fixture()
+def case_copy(case_dir, tmp_path):
+    """A writable copy of the bundled catalog and tables, for tests that corrupt them."""
+    return shutil.copytree(case_dir, tmp_path / "casestudy")
 
 
 @pytest.fixture()

@@ -94,9 +94,9 @@ class TestLabels:
             small_catalog.get("lots", "finish").trapezoid_for("matte")
 
     def test_resolve_label(self, small_catalog):
-        assert small_catalog.resolve_label("lots", "finish", "GLOSS").name == "gloss"
-        with pytest.raises(CatalogError):
-            small_catalog.resolve_label("lots", "finish", "missing")
+        attr = small_catalog.get("lots", "finish")
+        assert attr.find_label("GLOSS").name == "gloss"
+        assert attr.find_label("missing") is None
 
 
 class TestSimilarityUpkeep:
@@ -215,6 +215,9 @@ class TestEncodeDecode:
             decode_row(ConversionRow(4, (9.0, None, None, None)), attr)
         with pytest.raises(ConversionError):
             decode_row(ConversionRow(4, (1.5, None, None, None)), attr)
+        for raw in (float("inf"), float("nan")):
+            with pytest.raises(ConversionError):
+                decode_row(ConversionRow(4, (raw, None, None, None)), attr)
 
     def test_decode_validates_scalar_rows(self):
         attr = scalar_attr()
@@ -236,11 +239,12 @@ class TestEncodeDecode:
             ConversionRow(8, ())
 
     def test_catalog_wrappers(self, small_catalog):
-        row = small_catalog.encode("lots", "width", FuzzyValue.label("wide"))
+        width = small_catalog.get("lots", "width")
+        row = encode_value(FuzzyValue.label("wide"), width)
         assert row.ft == 4 and row.fields[0] == 2.0
-        assert small_catalog.decode("lots", "width", row) == FuzzyValue.label("wide")
+        assert decode_row(row, width) == FuzzyValue.label("wide")
         with pytest.raises(ConversionError):
-            small_catalog.encode("lots", "code", FuzzyValue.crisp(1))
+            encode_value(FuzzyValue.crisp(1), small_catalog.get("lots", "code"))
 
 
 class TestPersistence:
@@ -290,6 +294,36 @@ class TestPersistence:
             load_catalog(tmp_path)
         assert "labels.tsv:" in str(err.value)
         assert "corners" in str(err.value)
+
+    @pytest.mark.parametrize(
+        "corners,fragment",
+        [
+            ("-inf\t20\t25\t30", "corners must be finite"),
+            ("15\t20\t25\tnan", "corners must be finite"),
+            ("20\t15\t25\t30", "trapezoid corners must be ordered"),
+        ],
+    )
+    def test_bad_corners_carry_positions(self, case_copy, corners, fragment):
+        path = case_copy / "labels.tsv"
+        lines = path.read_text(encoding="utf-8").splitlines()
+        assert lines[44] == "personas\tedad\t1\tjoven\t15\t20\t25\t30"
+        lines[44] = "personas\tedad\t1\tjoven\t" + corners
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(CatalogError) as err:
+            load_catalog(case_copy)
+        assert "labels.tsv:45: " in str(err.value)
+        assert fragment in str(err.value)
+
+    def test_byte_order_mark_and_bad_bytes(self, small_catalog, tmp_path):
+        save_catalog(small_catalog, tmp_path)
+        path = tmp_path / "attributes.tsv"
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        assert load_catalog(tmp_path).get("lots", "width").units == "cm"
+        path = tmp_path / "labels.tsv"
+        path.write_bytes(path.read_bytes().replace(b"satin", b"sat\xffn"))
+        with pytest.raises(CatalogError) as err:
+            load_catalog(tmp_path)
+        assert "labels.tsv:5: not valid UTF-8" in str(err.value)
 
     def test_conflicting_similarity_pairs(self, small_catalog, tmp_path):
         save_catalog(small_catalog, tmp_path)

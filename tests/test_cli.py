@@ -63,6 +63,23 @@ class TestQueryCommand:
         assert "filter: 1 AND 2" in out
         assert "THOLD 0.5" in out
 
+    @pytest.mark.parametrize(
+        "where,filter_line",
+        [
+            ("(edad FEQ $joven OR edad FEQ $maduro) AND pelo FEQ $rubio", "filter: (1 OR 2) AND 3"),
+            ("edad FEQ $joven OR (edad FEQ $maduro AND pelo FEQ $rubio)", "filter: 1 OR 2 AND 3"),
+            ("edad FEQ $joven", "filter: 1"),
+        ],
+    )
+    def test_explain_filter_shapes(self, capsys, where, filter_line):
+        assert main(["query", f"SELECT nombre FROM personas WHERE {where}", "--explain"]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == filter_line
+
+    def test_overflowing_number_exits_1(self, capsys):
+        sql = "SELECT nombre FROM personas WHERE edad FEQ 1" + "0" * 400
+        assert main(["query", sql]) == 1
+        assert "too large at 1:44" in capsys.readouterr().err
+
     def test_stats_go_to_stderr(self, capsys):
         assert main(["query", FLAGSHIP, "--stats"]) == 0
         captured = capsys.readouterr()
@@ -78,6 +95,40 @@ class TestQueryCommand:
         with pytest.raises(SystemExit) as exc:
             main(["query", "SELECT cod_pila FROM pilas", "--thold", "1.5"])
         assert exc.value.code == 2
+
+
+class TestBadInput:
+    """Malformed files end in a positioned error and exit 2, never a traceback."""
+
+    SQL = "SELECT personas.% FROM personas WHERE edad FEQ 30 THOLD 0"
+
+    def query(self, case_copy):
+        return main(["query", self.SQL, "--catalog", str(case_copy), "--data-dir", str(case_copy)])
+
+    @pytest.mark.parametrize("cell", ["3;inf;;;", "3;nan"])
+    def test_non_finite_cell(self, capsys, case_copy, cell):
+        path = case_copy / "personas.csv"
+        path.write_text(path.read_text().replace("Ana,3;26;;;", f"Ana,{cell}"))
+        assert self.query(case_copy) == 2
+        assert "personas.csv:2: column edad: expected a finite number" in capsys.readouterr().err
+
+    def test_non_finite_label_corner(self, capsys, case_copy):
+        path = case_copy / "labels.tsv"
+        path.write_text(path.read_text().replace("joven\t15", "joven\t-inf"))
+        assert main(["catalog", "show", "--catalog", str(case_copy)]) == 2
+        assert "labels.tsv:45: " in capsys.readouterr().err
+
+    def test_byte_order_mark(self, capsys, case_copy):
+        path = case_copy / "personas.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        assert self.query(case_copy) == 0
+        assert "(8 rows)" in capsys.readouterr().out
+
+    def test_invalid_utf8(self, capsys, case_copy):
+        path = case_copy / "personas.csv"
+        path.write_bytes(path.read_bytes().replace(b"Rosa", b"Ros\xff"))
+        assert self.query(case_copy) == 2
+        assert "personas.csv:6: not valid UTF-8" in capsys.readouterr().err
 
 
 class TestRepl:

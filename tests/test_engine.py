@@ -159,6 +159,22 @@ class TestLoadTable:
         assert ":3:" in message
         assert "edad" in message
 
+    @pytest.mark.parametrize("cell", ["3;inf;;;", "3;nan", "5;1;;;-Infinity", "7;1;1e400;-1;4"])
+    def test_non_finite_numbers_rejected(self, tmp_path, case_catalog, cell):
+        path = tmp_path / "personas.csv"
+        path.write_text(f"nombre,edad,pelo\nAna,3;26;;;,0\nLuis,{cell},0\n")
+        with pytest.raises(DataFileError) as err:
+            load_table(path, "personas", case_catalog)
+        message = str(err.value)
+        assert "personas.csv:3: column edad: expected a finite number" in message
+
+    @pytest.mark.parametrize("text", ["inf", "nan", "-1e999"])
+    def test_non_finite_plain_and_degree_rejected(self, case_catalog, tone_attr, text):
+        with pytest.raises(DataFileError):
+            parse_cell(text, case_catalog.get("pilas", "cod_pila"))
+        with pytest.raises(DataFileError):
+            parse_cell(f"3;{text};blanco", tone_attr)
+
     def test_missing_file(self, tmp_path, case_catalog):
         with pytest.raises(DataFileError):
             load_table(tmp_path / "nope.csv", "personas", case_catalog)

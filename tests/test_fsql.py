@@ -1,5 +1,7 @@
 """FSQL tokenizer, parser, canonical rendering, and compilation."""
 
+import importlib
+
 import pytest
 
 from fuzzydb import CompileError, FsqlSyntaxError, compile_query, parse_query, render_query
@@ -45,6 +47,12 @@ class TestLexer:
     def test_numbers(self):
         tokens = tokenize("0.5 26 100.25")
         assert [t.value for t in tokens[:-1]] == [0.5, 26.0, 100.25]
+
+    def test_overflowing_number_rejected_with_position(self):
+        with pytest.raises(FsqlSyntaxError) as err:
+            tokenize("x FEQ 1" + "0" * 400)
+        assert "too large" in str(err.value)
+        assert "1:7" in str(err.value)
 
     def test_label_token_drops_sigil(self):
         token = tokenize("$blanco")[0]
@@ -244,9 +252,40 @@ class TestCompile:
         assert "CDEG(tono_cara) (degree of condition 1)" in text
         assert "tono_cara FEQ $blanco THOLD 0.5" in text
 
+    @pytest.mark.parametrize(
+        "where,rendered,filter_line",
+        [
+            (
+                "(edad FEQ $joven OR edad FEQ $maduro) AND pelo FEQ $rubio THOLD 0.5",
+                "(edad FEQ $joven OR edad FEQ $maduro) AND pelo FEQ $rubio THOLD 0.5",
+                "filter: (1 OR 2) AND 3",
+            ),
+            (
+                "edad FEQ $joven OR (edad FEQ $maduro AND pelo FEQ $rubio THOLD 0.5)",
+                "edad FEQ $joven OR edad FEQ $maduro AND pelo FEQ $rubio THOLD 0.5",
+                "filter: 1 OR 2 AND 3",
+            ),
+            ("edad FEQ $joven", "edad FEQ $joven", "filter: 1"),
+        ],
+    )
+    def test_filter_shapes_render_and_explain(self, case_catalog, where, rendered, filter_line):
+        text = f"SELECT nombre FROM personas WHERE {where}"
+        expected = f"SELECT nombre FROM personas WHERE {rendered};"
+        assert render_query(parse_query(text)) == expected
+        lines = compile_query(text, case_catalog).explain().splitlines()
+        assert lines[0] == expected
+        assert lines[-1] == filter_line
+
     def test_qualified_condition_column(self, case_catalog):
         plan = compile_query(
             "SELECT cod_carti FROM cartulina WHERE cartulina.tono_cara FEQ $blanco THOLD 0.1",
             case_catalog,
         )
         assert plan.conditions[0].attr.column == "tono_cara"
+
+
+@pytest.mark.parametrize("module", ["fuzzydb", "fuzzydb.fsql"])
+def test_every_exported_name_resolves(module):
+    package = importlib.import_module(module)
+    for name in package.__all__:
+        assert hasattr(package, name), name
