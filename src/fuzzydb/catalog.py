@@ -112,6 +112,12 @@ class AttributeDescriptor:
             )
         if self.ftype is FuzzyType.FUZZY_ORDERED and self.domain_kind != "numeric":
             raise CatalogError(f"{self.qualified}: an ordered fuzzy column needs a numeric domain")
+        # Lookup indexes over labels; attach_label keeps them in step.
+        self._by_name = {}
+        self._by_id = {}
+        for ld in self.labels:
+            self._by_name.setdefault(fold_name(ld.name), ld)
+            self._by_id.setdefault(ld.fuzzy_id, ld)
 
     @property
     def qualified(self) -> str:
@@ -122,17 +128,10 @@ class AttributeDescriptor:
         return (fold_name(self.table), fold_name(self.column))
 
     def find_label(self, name: str) -> Optional[LabelDefinition]:
-        wanted = fold_name(name)
-        for ld in self.labels:
-            if fold_name(ld.name) == wanted:
-                return ld
-        return None
+        return self._by_name.get(fold_name(name))
 
     def label_by_id(self, fuzzy_id: int) -> Optional[LabelDefinition]:
-        for ld in self.labels:
-            if ld.fuzzy_id == fuzzy_id:
-                return ld
-        return None
+        return self._by_id.get(fuzzy_id)
 
     def next_label_id(self) -> int:
         return max((ld.fuzzy_id for ld in self.labels), default=0) + 1
@@ -153,6 +152,8 @@ class AttributeDescriptor:
         if self.label_by_id(ld.fuzzy_id) is not None:
             raise CatalogError(f"label id {ld.fuzzy_id} is already taken on {self.qualified}")
         self.labels.append(ld)
+        self._by_name[fold_name(ld.name)] = ld
+        self._by_id[ld.fuzzy_id] = ld
         if self.similarity is not None:
             old = self.similarity
             n = len(old.domain)
@@ -271,6 +272,20 @@ def _number(row: ConversionRow, attr: AttributeDescriptor, i: int) -> float:
     return float(value)
 
 
+def approx_ends_mismatch(
+    value: FuzzyValue, low: Optional[float], high: Optional[float]
+) -> Optional[str]:
+    """What is wrong with a code 6 row's repeated ends (None when not given), or None."""
+    ends = ((2, "-", low, value.number - value.margin), (3, "+", high, value.number + value.margin))
+    for i, sign, given, end in ends:
+        if given is not None and given != end:
+            return (
+                f"code 6 field {i} must be center {sign} margin = {format_number(end)}, "
+                f"got {format_number(given)}"
+            )
+    return None
+
+
 def decode_row(row: ConversionRow, attr: AttributeDescriptor) -> FuzzyValue:
     """Rebuild the fuzzy value a conversion row encodes; inverse of encode_value."""
     if attr.ftype is FuzzyType.FUZZY_ORDERED:
@@ -298,10 +313,15 @@ def decode_row(row: ConversionRow, attr: AttributeDescriptor) -> FuzzyValue:
             _require(row, attr, "x..x")
             return FuzzyValue.interval(_number(row, attr, 0), _number(row, attr, 3))
         if ft == 6:
-            # Fields 2 and 3 duplicate center-margin and center+margin; the
-            # value is rebuilt from the authoritative pair.
+            # Fields 2 and 3 repeat center-margin and center+margin; when given
+            # they must match the authoritative pair exactly.
             _require(row, attr, "x??x")
-            return FuzzyValue.approx(_number(row, attr, 0), _number(row, attr, 3))
+            value = FuzzyValue.approx(_number(row, attr, 0), _number(row, attr, 3))
+            given = [None if row.fields[i] is None else _number(row, attr, i) for i in (1, 2)]
+            mismatch = approx_ends_mismatch(value, *given)
+            if mismatch:
+                raise ConversionError(f"{attr.qualified}: {mismatch}")
+            return value
         if ft == 7:
             _require(row, attr, "xxxx")
             a = _number(row, attr, 0)

@@ -161,7 +161,8 @@ def cmd_query(args) -> int:
     if args.stats:
         s = result.stats
         print(
-            f"parse {s.parse_seconds * 1000:.2f}ms  compile {s.compile_seconds * 1000:.2f}ms  "
+            f"load {s.load_seconds * 1000:.2f}ms  parse {s.parse_seconds * 1000:.2f}ms  "
+            f"compile {s.compile_seconds * 1000:.2f}ms  "
             f"execute {s.execute_seconds * 1000:.2f}ms  rows {s.rows_in} -> {s.rows_out}",
             file=sys.stderr,
         )

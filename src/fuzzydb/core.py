@@ -8,6 +8,7 @@ call from any number of concurrent workers.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Tuple, Union
 
@@ -15,6 +16,8 @@ from .errors import FuzzyValueError, SimilarityError
 
 # Degrees are plain floats in [0, 1]; check_degree guards the boundary.
 Degree = float
+
+_INF = math.inf
 
 # A possibility pair: (degree, element). Elements are numbers or scalar names.
 Element = Union[str, float]
@@ -46,9 +49,10 @@ def fold_name(name: str) -> str:
 class Trapezoid:
     """Trapezoidal membership function over an ordered numeric domain.
 
-    The four corners satisfy a <= b <= c <= d.  Equalities give the degenerate
-    shapes: a point (a=b=c=d), a crisp interval (a=b, c=d), or a triangle
-    (b=c).  A collapsed edge behaves as a step with the boundary at degree 1.
+    The four corners are finite and satisfy a <= b <= c <= d.  Equalities give
+    the degenerate shapes: a point (a=b=c=d), a crisp interval (a=b, c=d), or a
+    triangle (b=c).  A collapsed edge behaves as a step with the boundary at
+    degree 1.
     """
 
     a: float
@@ -57,10 +61,13 @@ class Trapezoid:
     d: float
 
     def __post_init__(self):
-        if not (self.a <= self.b <= self.c <= self.d):
+        # One chained comparison; it is false for nan and for infinite ends.
+        if not (-_INF < self.a <= self.b <= self.c <= self.d < _INF):
+            corners = (self.a, self.b, self.c, self.d)
+            if not all(math.isfinite(x) for x in corners):
+                raise FuzzyValueError(f"trapezoid corners must be finite, got {corners}")
             raise FuzzyValueError(
-                f"trapezoid corners must be ordered a <= b <= c <= d, got "
-                f"({self.a}, {self.b}, {self.c}, {self.d})"
+                f"trapezoid corners must be ordered a <= b <= c <= d, got {corners}"
             )
 
     def membership(self, x: float) -> Degree:
@@ -121,29 +128,37 @@ class FuzzyValue:
 
     def __post_init__(self):
         k = self.kind
-        if k is ValueKind.CRISP and self.number is None:
-            raise FuzzyValueError("crisp value requires a number")
-        if k is ValueKind.LABEL and not self.name:
-            raise FuzzyValueError("label value requires a name")
-        if k is ValueKind.INTERVAL:
-            if self.low is None or self.high is None or not self.low < self.high:
+        if k is ValueKind.CRISP:
+            if self.number is None:
+                raise FuzzyValueError("crisp value requires a number")
+            if not -_INF < self.number < _INF:
+                raise FuzzyValueError(f"crisp value must be a finite number, got {self.number!r}")
+        elif k is ValueKind.LABEL:
+            if not self.name:
+                raise FuzzyValueError("label value requires a name")
+        elif k is ValueKind.INTERVAL:
+            if self.low is None or self.high is None or not -_INF < self.low < self.high < _INF:
                 raise FuzzyValueError(
-                    f"interval requires two bounds with low < high, got [{self.low}, {self.high}]"
+                    f"interval requires two finite bounds with low < high, "
+                    f"got [{self.low}, {self.high}]"
                 )
-        if k is ValueKind.APPROX:
-            if self.number is None or self.margin is None or self.margin <= 0:
+        elif k is ValueKind.APPROX:
+            if self.number is None or self.margin is None or not self.margin > 0:
                 raise FuzzyValueError("approximate value requires a center and a margin > 0")
-        if k is ValueKind.TRAPEZOID and self.trap is None:
-            raise FuzzyValueError("trapezoid value requires corners")
-        if k is ValueKind.SIMPLE and len(self.pairs) != 1:
-            raise FuzzyValueError("simple value holds exactly one (degree, element) pair")
-        if k is ValueKind.POSS_DIST and not self.pairs:
-            raise FuzzyValueError("possibility distribution needs at least one pair")
-        if k in UNORDERED_KINDS:
+            # The triangle's feet must be finite too, or the value has no trapezoid.
+            _check_finite(self.number - self.margin, "approximate value's lower end")
+            _check_finite(self.number + self.margin, "approximate value's upper end")
+        elif k is ValueKind.TRAPEZOID:
+            if self.trap is None:
+                raise FuzzyValueError("trapezoid value requires corners")
+        elif k in UNORDERED_KINDS:
+            if k is ValueKind.SIMPLE and len(self.pairs) != 1:
+                raise FuzzyValueError("simple value holds exactly one (degree, element) pair")
+            if not self.pairs:
+                raise FuzzyValueError("possibility distribution needs at least one pair")
             for p, _ in self.pairs:
                 if check_degree(p, "possibility degree") == 0.0:
                     raise FuzzyValueError("possibility degrees must be in (0, 1], got 0")
-        if k in UNORDERED_KINDS:
             _check_pair_elements(self.pairs)
 
     # -- factories -------------------------------------------------------
@@ -190,17 +205,25 @@ class FuzzyValue:
         return cls(ValueKind.POSS_DIST, pairs=tuple((float(p), e) for p, e in pairs))
 
 
+def _check_finite(x: float, what: str) -> None:
+    if not -_INF < x < _INF:
+        raise FuzzyValueError(f"{what} must be a finite number, got {x!r}")
+
+
 def _check_pair_elements(pairs: Tuple[PossPair, ...]) -> None:
-    """Elements must all be numbers or all scalar names, with no duplicates."""
-    names = [e for _, e in pairs if isinstance(e, str)]
-    numbers = [e for _, e in pairs if not isinstance(e, str)]
-    if names and numbers:
-        raise FuzzyValueError("distribution elements must be all numeric or all scalar names")
+    """Elements must all be finite numbers or all scalar names, with no duplicates."""
+    named = isinstance(pairs[0][1], str)
     seen = set()
-    for e in pairs:
-        key = fold_name(e[1]) if isinstance(e[1], str) else float(e[1])
+    for _, e in pairs:
+        if isinstance(e, str) is not named:
+            raise FuzzyValueError("distribution elements must be all numeric or all scalar names")
+        if named:
+            key = fold_name(e)
+        else:
+            _check_finite(e, "distribution element")
+            key = float(e)
         if key in seen:
-            raise FuzzyValueError(f"duplicate distribution element {e[1]!r}")
+            raise FuzzyValueError(f"duplicate distribution element {e!r}")
         seen.add(key)
 
 

@@ -10,31 +10,37 @@ elements written by name.  Examples:
     3;26;;;         the crisp number 26     (ordered column)
     4;optima;;;     the label $optima       (ordered column)
     5;60;;;70       the interval [60, 70]   (ordered column)
-    6;70;65;75;5    about 70, margin 5      (ordered column)
+    6;70;65;75;5    about 70, margin 5      (ordered column; 65 and 75 may
+                                            be left out, but when given must
+                                            be 70-5 and 70+5 exactly)
     7;25;5;-5;45    trapezoid 25,30,40,45   (ordered column)
     3;1;blanco      1/blanco                (scalar column)
     4;0.4;rojo;0.6;azul                     (scalar column)
 
 Numbers must be finite.  Files are UTF-8 and may start with a byte order mark.
+
+load_table decodes each cell text once per column: one decoder per column
+splits the text, checks each field once and builds the value, and repeated
+cells of the small-vocabulary kinds share one (immutable) value object.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import math
 import os
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from .catalog import (
     AttributeDescriptor,
     Catalog,
-    ConversionRow,
     FuzzyType,
-    decode_row,
+    approx_ends_mismatch,
     encode_value,
 )
 from .core import FuzzyValue, ValueKind, feq, fold_name, format_number
@@ -75,64 +81,146 @@ def _finite(text: str) -> Optional[float]:
     return value if math.isfinite(value) else None
 
 
+def _number(text: str) -> float:
+    value = _finite(text)
+    if value is None:
+        raise DataFileError(f"expected a finite number, got {text!r}")
+    return value
+
+
+# Kinds drawn from a small vocabulary, so their cell texts repeat within a
+# table; the multi-number kinds rarely repeat and are not kept for sharing.
+_SHARED_KINDS = frozenset(
+    {ValueKind.UNKNOWN, ValueKind.UNDEFINED, ValueKind.NULL, ValueKind.CRISP, ValueKind.LABEL,
+     ValueKind.SIMPLE}
+)
+_CODES = {str(ft): ft for ft in range(8)}
+_SPECIALS = (ValueKind.UNKNOWN, ValueKind.UNDEFINED, ValueKind.NULL)
+# Which of an ordered cell's four fields each code needs: 'x' given, '.' empty, '?' either.
+_ORDERED_SHAPES = {3: "x...", 4: "x...", 5: "x..x", 6: "x??x", 7: "xxxx"}
+
+
+def _shape_error(ft: int, fields: List[str]) -> DataFileError:
+    """The error for an ordered cell whose fields do not fit its code's shape."""
+    for i, (flag, part) in enumerate(zip(_ORDERED_SHAPES[ft], fields), start=1):
+        if flag == "x" and not part:
+            return DataFileError(f"code {ft} cells need field {i}")
+        if flag == "." and part:
+            return DataFileError(f"code {ft} cells leave field {i} empty, got {part!r}")
+    raise AssertionError(f"fields {fields} fit code {ft}")
+
+
+def _split(text: str):
+    """The storage code of a fuzzy cell and its stripped fields; specials have none."""
+    parts = text.split(";")
+    head = parts[0].strip()
+    ft = _CODES.get(head)
+    if ft is None:
+        if not head and len(parts) == 1:
+            raise DataFileError("empty cell; use 2 for a null value")
+        code = _finite(head)
+        if code is None or not code.is_integer():
+            raise DataFileError(f"expected a fuzzy type code, got {head!r}")
+        if code not in range(8):
+            raise DataFileError(f"unknown fuzzy type code {int(code)}")
+        ft = int(code)
+    fields = [p.strip() for p in parts[1:]]
+    if ft < 3 and any(fields):
+        raise DataFileError(f"code {ft} cells carry no fields, got {text.strip()!r}")
+    return ft, fields
+
+
+def _ordered_cell(attr: AttributeDescriptor, text: str):
+    ft, fields = _split(text)
+    if ft < 3:
+        return FuzzyValue(_SPECIALS[ft])
+    if len(fields) > 4:
+        raise DataFileError(f"too many fields in {text.strip()!r}")
+    fields += [""] * (4 - len(fields))
+    first, second, third, last = fields
+    # _ORDERED_SHAPES[ft] written out, so a cell that fits costs no loop
+    middle_fits = ft == 6 or bool(second) == bool(third) == (ft == 7)
+    if not (first and bool(last) == (ft > 4) and middle_fits):
+        raise _shape_error(ft, fields)
+    if ft == 3:
+        return FuzzyValue.crisp(_number(first))
+    if ft == 4:
+        # labels are written by name; numeric ids are still accepted
+        ld = attr.find_label(first)
+        if ld is None:
+            fuzzy_id = _finite(first)
+            if fuzzy_id is None:
+                raise DataFileError(f"label {first!r} is not defined for {attr.qualified}")
+            if not fuzzy_id.is_integer():
+                raise DataFileError(f"label id must be an integer, got {first!r}")
+            ld = attr.label_by_id(int(fuzzy_id))
+            if ld is None:
+                raise DataFileError(f"no label of {attr.qualified} has id {int(fuzzy_id)}")
+        return FuzzyValue.label(ld.name)
+    if ft == 5:
+        return FuzzyValue.interval(_number(first), _number(last))
+    if ft == 6:
+        value = FuzzyValue.approx(_number(first), _number(last))
+        low = _number(second) if second else None
+        high = _number(third) if third else None
+        mismatch = approx_ends_mismatch(value, low, high)
+        if mismatch:
+            raise DataFileError(mismatch)
+        return value
+    a, d = _number(first), _number(last)
+    return FuzzyValue.trapezoid(a, a + _number(second), d + _number(third), d)
+
+
+def _scalar_cell(attr: AttributeDescriptor, text: str):
+    ft, fields = _split(text)
+    if ft < 3:
+        return FuzzyValue(_SPECIALS[ft])
+    if ft > 4:
+        raise DataFileError(f"code {ft} is not valid for a scalar column")
+    if "" in fields:
+        raise DataFileError(f"empty field in {text.strip()!r}")
+    if not fields or len(fields) % 2 or (ft == 3 and len(fields) != 2):
+        want = "one (degree, element) pair" if ft == 3 else "(degree, element) pairs"
+        raise DataFileError(f"code {ft} cells hold {want}, got {len(fields)} fields")
+    pairs = []
+    for i in range(0, len(fields), 2):
+        degree = _finite(fields[i])
+        if degree is None:
+            raise DataFileError(f"expected a degree, got {fields[i]!r}")
+        element = fields[i + 1]
+        if attr.find_label(element) is None:
+            # element names are identifiers, so a number is never a known name
+            element = _finite(element)
+            if element is None:
+                raise DataFileError(
+                    f"element {fields[i + 1]!r} is not in the domain of {attr.qualified}"
+                )
+        pairs.append((degree, element))
+    if ft == 3:
+        return FuzzyValue.simple(*pairs[0])
+    return FuzzyValue.poss_dist(pairs)
+
+
+def _plain_number(text: str) -> float:
+    return _number(text.strip())
+
+
+def _cell_decoder(attr: AttributeDescriptor) -> Callable[[str], object]:
+    """The function that turns one CSV cell of attr's column into its value."""
+    if attr.ftype is FuzzyType.FUZZY_ORDERED:
+        return functools.partial(_ordered_cell, attr)
+    if attr.ftype is FuzzyType.FUZZY_SCALAR:
+        return functools.partial(_scalar_cell, attr)
+    return _plain_number if attr.domain_kind == "numeric" else str.strip
+
+
 def parse_cell(text: str, attr: AttributeDescriptor):
     """Parse one CSV cell for attr; returns a plain value or a FuzzyValue.
 
-    Numbers must be finite: inf and nan are rejected like any other non-number.
+    Every malformed cell raises a FuzzyDbError.  Numbers must be finite: inf
+    and nan are rejected like any other non-number.
     """
-    text = text.strip()
-    if attr.ftype is FuzzyType.PRECISE:
-        if attr.domain_kind != "numeric":
-            return text
-        value = _finite(text)
-        if value is None:
-            raise DataFileError(f"expected a finite number, got {text!r}")
-        return value
-    if not text:
-        raise DataFileError("empty cell; use 2 for a null value")
-    parts = [p.strip() for p in text.split(";")]
-    code = _finite(parts[0])
-    if code is None or not code.is_integer():
-        raise DataFileError(f"expected a fuzzy type code, got {parts[0]!r}")
-    ft = int(code)
-    rest = parts[1:]
-    if ft in (0, 1, 2):
-        if any(rest):
-            raise DataFileError(f"code {ft} cells carry no fields, got {text!r}")
-        shape = (None,) * 4 if attr.ftype is FuzzyType.FUZZY_ORDERED else ()
-        return decode_row(ConversionRow(ft, shape), attr)
-    if attr.ftype is FuzzyType.FUZZY_ORDERED:
-        if len(rest) > 4:
-            raise DataFileError(f"too many fields in {text!r}")
-        rest = rest + [""] * (4 - len(rest))
-        fields = []
-        for i, part in enumerate(rest):
-            value = _finite(part) if part else None
-            if value is not None or part == "":
-                fields.append(value)
-            elif ft == 4 and i == 0:
-                # labels are stored by name in data files
-                ld = attr.find_label(part)
-                if ld is None:
-                    raise DataFileError(f"label {part!r} is not defined for {attr.qualified}")
-                fields.append(float(ld.fuzzy_id))
-            else:
-                raise DataFileError(f"expected a finite number, got {part!r}")
-        return decode_row(ConversionRow(ft, tuple(fields)), attr)
-    # scalar column: alternating degree and element fields
-    if any(part == "" for part in rest):
-        raise DataFileError(f"empty field in {text!r}")
-    fields = []
-    for i, part in enumerate(rest):
-        value = _finite(part)
-        if i % 2 == 0 and value is None:
-            raise DataFileError(f"expected a degree, got {part!r}")
-        fields.append(part if value is None else value)
-    value = decode_row(ConversionRow(ft, tuple(fields)), attr)
-    for _, element in value.pairs:
-        if isinstance(element, str) and attr.find_label(element) is None:
-            raise DataFileError(f"element {element!r} is not in the domain of {attr.qualified}")
-    return value
+    return _cell_decoder(attr)(text)
 
 
 def format_cell(value, attr: AttributeDescriptor) -> str:
@@ -189,24 +277,35 @@ def load_table(path, table_name: str, catalog: Catalog) -> Table:
                 f"{[a.column for a in schema]!r}"
             )
         positions = {name: i for i, name in enumerate(folded)}
-        order = [positions[fold_name(attr.column)] for attr in schema]
+        # Per column: where its cells sit, its decoder, and the values already
+        # decoded from each cell text, which repeated cells share (values are
+        # frozen).
+        columns = [
+            (attr, positions[fold_name(attr.column)], _cell_decoder(attr), {})
+            for attr in schema
+        ]
         rows = []
         for raw in reader:
             if not raw:
                 continue
-            lineno = reader.line_num
             if len(raw) != len(header):
                 raise DataFileError(
-                    f"{path}:{lineno}: expected {len(header)} cells, found {len(raw)}"
+                    f"{path}:{reader.line_num}: expected {len(header)} cells, found {len(raw)}"
                 )
             cells = []
-            for attr, src in zip(schema, order):
-                try:
-                    cells.append(parse_cell(raw[src], attr))
-                except FuzzyDbError as exc:
-                    raise DataFileError(
-                        f"{path}:{lineno}: column {attr.column}: {exc}"
-                    ) from None
+            for attr, src, decode, seen in columns:
+                text = raw[src]
+                value = seen.get(text)
+                if value is None:
+                    try:
+                        value = decode(text)
+                    except FuzzyDbError as exc:
+                        raise DataFileError(
+                            f"{path}:{reader.line_num}: column {attr.column}: {exc}"
+                        ) from None
+                    if isinstance(value, FuzzyValue) and value.kind in _SHARED_KINDS:
+                        seen[text] = value
+                cells.append(value)
             rows.append(cells)
     return Table(catalog.table_name(table_name), list(schema), rows)
 
@@ -227,10 +326,11 @@ class ExecutionStats:
     execute_seconds: float = 0.0
     rows_in: int = 0
     rows_out: int = 0
+    load_seconds: float = 0.0  # reading the table file; 0 for a table passed in memory
 
     @property
     def total_seconds(self) -> float:
-        return self.parse_seconds + self.compile_seconds + self.execute_seconds
+        return self.load_seconds + self.parse_seconds + self.compile_seconds + self.execute_seconds
 
 
 @dataclass
@@ -300,7 +400,7 @@ def run_query(
     """Parse, compile, and execute FSQL text; stats carry the phase timings.
 
     The table comes from the tables mapping when given, otherwise from
-    <data_dir>/<table>.csv.  Loading time is not counted in the stats.
+    <data_dir>/<table>.csv; only reading that file counts as load time.
     """
     t0 = time.perf_counter()
     query = parse_query(text)
@@ -313,11 +413,15 @@ def run_query(
             if fold_name(name) == fold_name(plan.table):
                 table = candidate
                 break
+    load_seconds = 0.0
     if table is None and data_dir is not None:
+        t3 = time.perf_counter()
         table = load_table(os.path.join(data_dir, plan.table + ".csv"), plan.table, catalog)
+        load_seconds = time.perf_counter() - t3
     if table is None:
         raise DataFileError(f"no data available for table {plan.table}")
     result = execute(plan, table)
+    result.stats.load_seconds = load_seconds
     result.stats.parse_seconds = t1 - t0
     result.stats.compile_seconds = t2 - t1
     return result

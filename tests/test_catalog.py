@@ -98,6 +98,21 @@ class TestLabels:
         assert attr.find_label("GLOSS").name == "gloss"
         assert attr.find_label("missing") is None
 
+    def test_lookups_follow_the_label_list(self):
+        # labels given to the constructor are indexed, and attach_label keeps the index current
+        narrow = LabelDefinition(3, "Narrow", Trapezoid(0, 0, 30, 40))
+        attr = AttributeDescriptor("lots", "width", 2, "numeric", labels=[narrow])
+        assert attr.find_label("NARROW") is narrow and attr.label_by_id(3) is narrow
+        wide = LabelDefinition(4, "wide", Trapezoid(30, 40, 80, 90))
+        attr.attach_label(wide)
+        assert attr.find_label("Wide") is wide and attr.label_by_id(4) is wide
+        assert attr.label_by_id(1) is None
+        with pytest.raises(CatalogError):
+            attr.attach_label(LabelDefinition(5, "WIDE", Trapezoid(0, 1, 2, 3)))
+        with pytest.raises(CatalogError):
+            attr.attach_label(LabelDefinition(4, "other", Trapezoid(0, 1, 2, 3)))
+        assert attr.find_label("other") is None and attr.label_by_id(5) is None
+
 
 class TestSimilarityUpkeep:
     def test_relation_tracks_new_labels(self, small_catalog):
@@ -233,6 +248,15 @@ class TestEncodeDecode:
             decode_row(ConversionRow(5, (0.5, "a")), attr)  # ordered-only code
         with pytest.raises(ConversionError):
             decode_row(ConversionRow(7, (0.0, 1.0, -1.0, 2.0)), scalar_attr())
+
+    def test_decode_cross_checks_approx_ends(self):
+        attr = ordered_attr()
+        value = FuzzyValue.approx(450, 20)
+        for ends in ((430.0, 470.0), (None, None), (430.0, None), (None, 470.0)):
+            assert decode_row(ConversionRow(6, (450.0, *ends, 20.0)), attr) == value
+        for ends in ((0.0, 0.0), (430.0, 471.0), (431.0, None)):
+            with pytest.raises(ConversionError, match="code 6 field"):
+                decode_row(ConversionRow(6, (450.0, *ends, 20.0)), attr)
 
     def test_unknown_code_rejected(self):
         with pytest.raises(ConversionError):

@@ -1,6 +1,7 @@
 """Command-line behaviour: exit codes, output routing, catalog editing."""
 
 import io
+import re
 
 import pytest
 
@@ -86,6 +87,11 @@ class TestQueryCommand:
         assert "rows 14 -> 3" in captured.err
         assert "rows 14" not in captured.out
 
+    def test_stats_count_load_time_first(self, capsys):
+        assert main(["query", FLAGSHIP, "--stats"]) == 0
+        match = re.match(r"load (\d+\.\d\d)ms  parse ", capsys.readouterr().err)
+        assert match and float(match.group(1)) > 0
+
     def test_default_threshold_flag(self, capsys):
         sql = "SELECT cod_carti FROM cartulina WHERE tono_cara FEQ $blanco"
         assert main(["query", sql, "--thold", "0.5", "--format", "csv"]) == 0
@@ -111,6 +117,13 @@ class TestBadInput:
         path.write_text(path.read_text().replace("Ana,3;26;;;", f"Ana,{cell}"))
         assert self.query(case_copy) == 2
         assert "personas.csv:2: column edad: expected a finite number" in capsys.readouterr().err
+
+    def test_inconsistent_approx_cell(self, capsys, case_copy):
+        path = case_copy / "rollos.csv"
+        path.write_text(path.read_text().replace("6;450;430;470;20", "6;450;0;0;20"))
+        sql = "SELECT cod_rollo FROM rollos"
+        assert main(["query", sql, "--catalog", str(case_copy), "--data-dir", str(case_copy)]) == 2
+        assert "rollos.csv:2: column peso: code 6 field 2" in capsys.readouterr().err
 
     def test_non_finite_label_corner(self, capsys, case_copy):
         path = case_copy / "labels.tsv"

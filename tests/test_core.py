@@ -143,6 +143,29 @@ class TestFuzzyValueValidation:
         with pytest.raises(FuzzyValueError):
             FuzzyValue(ValueKind.LABEL)
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: FuzzyValue.crisp(float("inf")),
+            lambda: FuzzyValue.crisp(float("nan")),
+            lambda: FuzzyValue.interval(float("-inf"), 1),
+            lambda: FuzzyValue.interval(0, float("inf")),
+            lambda: FuzzyValue.approx(float("nan"), 1),
+            lambda: FuzzyValue.approx(0, float("inf")),
+            lambda: FuzzyValue.approx(1e308, 1e308),  # the upper end overflows
+            lambda: FuzzyValue.trapezoid(0, 1, 2, float("inf")),
+            lambda: FuzzyValue.trapezoid(float("nan"), 1, 2, 3),
+            lambda: Trapezoid(float("-inf"), 0, 0, 0),
+            lambda: FuzzyValue.simple(float("nan"), "matte"),
+            lambda: FuzzyValue.poss_dist([(0.5, float("inf"))]),
+            lambda: FuzzyValue.poss_dist([(0.5, 1.0), (0.6, float("nan"))]),
+        ],
+    )
+    def test_non_finite_numbers_rejected(self, build):
+        # rejected when the value is built, not later when it is rendered or compared
+        with pytest.raises(FuzzyValueError):
+            build()
+
 
 class TestToTrapezoid:
     def test_crisp_becomes_point(self):

@@ -1,18 +1,26 @@
 """Table files, execution semantics, and result rendering."""
 
+import csv
+import math
 import os
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import fuzzydb.engine
 from fuzzydb import (
     DataFileError,
+    FuzzyDbError,
     FuzzyValue,
     Table,
+    case_study_dir,
     compile_query,
+    decode_row,
+    encode_value,
     execute,
     format_cell,
     format_result,
+    load_catalog,
     load_table,
     parse_cell,
     render_value,
@@ -24,6 +32,22 @@ FLAGSHIP = (
     "SELECT cartulina.% FROM cartulina WHERE tono_cara FEQ $blanco THOLD 0.5 "
     "AND tono_reverso FEQ $blanco THOLD 0.5;"
 )
+
+
+def assert_cell_rejected(tmp_path, catalog, attr, text):
+    """parse_cell raises a FuzzyDbError, and load_table a DataFileError naming line and column."""
+    with pytest.raises(FuzzyDbError):
+        parse_cell(text, attr)
+    schema = catalog.table_schema(attr.table)
+    path = tmp_path / f"{attr.table}.csv"
+    with open(path, "w", newline="") as f:
+        writer = csv.writer(f, lineterminator="\n")
+        writer.writerow([a.column for a in schema])
+        writer.writerow(["0"] * len(schema))
+        writer.writerow([text if a is attr else "0" for a in schema])
+    with pytest.raises(DataFileError) as err:
+        load_table(path, attr.table, catalog)
+    assert str(err.value).startswith(f"{path}:3: column {attr.column}: ")
 
 
 @pytest.fixture()
@@ -50,6 +74,12 @@ class TestCellCodec:
             ("6;75;70;80;5", FuzzyValue.approx(75, 5)),
             ("7;85;10;-10;120", FuzzyValue.trapezoid(85, 95, 110, 120)),
             ("3;65", FuzzyValue.crisp(65)),  # short cells pad with empties
+            (" 3 ; 26 ;;; ", FuzzyValue.crisp(26)),  # whitespace around every field
+            ("3.0;65", FuzzyValue.crisp(65)),  # an integral code written as a float
+            ("6;75;;;5", FuzzyValue.approx(75, 5)),  # the repeated ends may be left out
+            ("6;75;70;;5", FuzzyValue.approx(75, 5)),
+            ("0;;;;", FuzzyValue.unknown()),
+            ("4;OPTIMA;;;", FuzzyValue.label("optima")),  # a label keeps its catalog spelling
         ],
     )
     def test_parse_ordered(self, width_attr, text, expected):
@@ -82,11 +112,26 @@ class TestCellCodec:
             "3;sixty;;;",  # number expected
             "4;grande;;;",  # no such label
             "7;1;2;3;4;5",  # too many fields
+            "   ",          # blank after stripping
+            "3",            # too few fields: no number
+            "5;60",         # too few fields: no upper bound
+            "7;85;10;-10",  # too few fields: no last corner
+            "3;65;1;;",     # stray field
+            "5;70;;;60",    # bounds out of order
+            "6;75;0;0;5",   # repeated ends that are not center -/+ margin
+            "6;75;70;81;5",
+            "6;75;;;0",     # margin must be positive
+            "7;10;1;-1;5",  # corners out of order
+            "4;2.5;;;",     # label ids are integers
+            "4;9;;;",       # no label has this id
+            "3.5;65",       # code must be an integer
+            "-1;65",        # negative code
+            "1e300;65",     # huge code
+            "3;0x10;;;",    # not a decimal number
         ],
     )
-    def test_parse_ordered_errors(self, width_attr, text):
-        with pytest.raises(Exception):
-            parse_cell(text, width_attr)
+    def test_parse_ordered_errors(self, tmp_path, case_catalog, width_attr, text):
+        assert_cell_rejected(tmp_path, case_catalog, width_attr, text)
 
     @pytest.mark.parametrize(
         "text",
@@ -95,11 +140,19 @@ class TestCellCodec:
             "4;0.4;blanco;0.6",  # dangling degree
             "4;;blanco",         # empty field
             "3;x;blanco",        # degree must be a number
+            "4;0.4;blanco;0.6;BLANCO",  # duplicated element, in another case
+            "3;1",               # too few fields
+            "3",                 # no pair at all
+            "3;0.5;blanco;0.5;cafe",  # code 3 holds one pair
+            "5;1;blanco",        # ordered-only code
+            "3;0;blanco",        # degrees are in (0, 1]
+            "3;1.5;blanco",
+            "0;1;blanco",        # specials carry no fields
+            "3;1;blanco;",       # trailing empty field
         ],
     )
-    def test_parse_scalar_errors(self, tone_attr, text):
-        with pytest.raises(Exception):
-            parse_cell(text, tone_attr)
+    def test_parse_scalar_errors(self, tmp_path, case_catalog, tone_attr, text):
+        assert_cell_rejected(tmp_path, case_catalog, tone_attr, text)
 
     def test_round_trip_through_text(self, width_attr, tone_attr, case_catalog):
         values = [
@@ -122,7 +175,122 @@ class TestCellCodec:
         assert format_cell(FuzzyValue.label("optima"), width_attr) == "4;optima;;;"
 
 
+# Extreme finite doubles, which every text form must carry exactly.
+EXTREMES = st.sampled_from([1e308, -1e308, 5e-324, -5e-324, 0.0, -0.0, 1.0])
+NUMBERS = st.one_of(EXTREMES, st.floats(allow_nan=False, allow_infinity=False))
+# Trapezoid corners from a grid (plus the extremes) where the codec's
+# offsets b-a and c-d can be exact.
+CORNERS = st.one_of(EXTREMES, st.integers(-2 ** 40, 2 ** 40).map(lambda k: k / 4))
+DEGREES = st.one_of(st.sampled_from([1.0, 5e-324, 0.5]), st.floats(0, 1, exclude_min=True))
+SPECIALS = st.sampled_from([FuzzyValue.unknown(), FuzzyValue.undefined(), FuzzyValue.null()])
+
+
+def _approx_fits(center, margin):
+    return margin > 0 and math.isfinite(center - margin) and math.isfinite(center + margin)
+
+
+def _offsets_exact(a, b, c, d):
+    """The code 7 row stores (a, b-a, c-d, d); this says it decodes back to b and c."""
+    return math.isfinite(b - a) and math.isfinite(c - d) and a + (b - a) == b and d + (c - d) == c
+
+
+def ordered_values(labels):
+    return st.one_of(
+        SPECIALS,
+        NUMBERS.map(FuzzyValue.crisp),
+        st.sampled_from(labels).map(FuzzyValue.label),
+        st.tuples(NUMBERS, NUMBERS).map(sorted).filter(lambda t: t[0] < t[1])
+        .map(lambda t: FuzzyValue.interval(*t)),
+        st.tuples(NUMBERS, NUMBERS).filter(lambda t: _approx_fits(*t))
+        .map(lambda t: FuzzyValue.approx(*t)),
+        st.tuples(CORNERS, CORNERS, CORNERS, CORNERS).map(sorted)
+        .filter(lambda t: _offsets_exact(*t)).map(lambda t: FuzzyValue.trapezoid(*t)),
+    )
+
+
+def scalar_values(names):
+    pairs = st.tuples(DEGREES, st.sampled_from(names))
+    return st.one_of(
+        SPECIALS,
+        pairs.map(lambda p: FuzzyValue.simple(*p)),
+        st.lists(pairs, min_size=1, max_size=5, unique_by=lambda p: p[1].casefold())
+        .map(FuzzyValue.poss_dist),
+    )
+
+
+@pytest.fixture(scope="module")
+def shared_catalog():
+    """The bundled catalog, loaded once for the property tests of this module."""
+    return load_catalog(case_study_dir())
+
+
+class TestCellRoundTrip:
+    @settings(max_examples=300)
+    @given(data=st.data())
+    def test_ordered(self, shared_catalog, data):
+        attr = shared_catalog.get("pilas", "formato_largo")
+        value = data.draw(ordered_values([ld.name for ld in attr.labels]))
+        self.check(value, attr)
+
+    @settings(max_examples=300)
+    @given(data=st.data())
+    def test_scalar(self, shared_catalog, data):
+        attr = shared_catalog.get("cartulina", "tono_cara")
+        value = data.draw(scalar_values([ld.name for ld in attr.labels]))
+        self.check(value, attr)
+
+    @staticmethod
+    def check(value, attr):
+        parsed = parse_cell(format_cell(value, attr), attr)
+        assert parsed == value
+        # the conversion-row codec is the oracle for the cell decoder
+        assert parsed == decode_row(encode_value(value, attr), attr)
+
+
+# Cell texts for personas, with repeats, spelling variants and whitespace.
+NOMBRE_CELLS = ["Ana", " Ana ", "Luis"]
+EDAD_CELLS = [
+    "0", "1", "2", "3;26;;;", "3;26", " 3 ; 26 ;;; ", "4;joven;;;", "4;JOVEN;;;", "4;1;;;",
+    "5;20;;;30", "6;30;25;35;5", "6;30;;;5", "7;25;5;-5;45",
+]
+PELO_CELLS = ["0", "2", "3;1;rubio", "3;1;RUBIO", "3;0.5;moreno", "4;0.8;moreno;0.5;pelirrojo"]
+
+
 class TestLoadTable:
+    @settings(max_examples=50)
+    @given(
+        rows=st.lists(
+            st.tuples(*(st.sampled_from(cells) for cells in (NOMBRE_CELLS, EDAD_CELLS, PELO_CELLS))),
+            min_size=1,
+            max_size=40,
+        )
+    )
+    def test_repeated_cells_load_like_single_cells(self, shared_catalog, tmp_path_factory, rows):
+        path = tmp_path_factory.mktemp("repeats") / "personas.csv"
+        with open(path, "w", newline="") as f:
+            writer = csv.writer(f, lineterminator="\n")
+            writer.writerow(["nombre", "edad", "pelo"])
+            writer.writerows(rows)
+        table = load_table(path, "personas", shared_catalog)
+        expected = [
+            [parse_cell(text, attr) for text, attr in zip(row, table.schema)] for row in rows
+        ]
+        assert table.rows == expected
+
+    def test_repeated_cells_share_one_value(self, tmp_path, case_catalog):
+        path = tmp_path / "personas.csv"
+        path.write_text("nombre,edad,pelo\nAna,3;26;;;,3;1;rubio\nLuis,3;26;;;,3;1;rubio\n")
+        first, second = load_table(path, "personas", case_catalog).rows
+        assert first[1] is second[1] and first[2] is second[2]
+
+    def test_sharing_is_per_column(self, tmp_path, case_catalog):
+        # a text that decoded in one column is still checked against the next
+        path = tmp_path / "personas.csv"
+        path.write_text("nombre,edad,pelo\nAna,3;26;;;,3;1;rubio\nLuis,3;1;rubio,0\n")
+        with pytest.raises(DataFileError) as err:
+            load_table(path, "personas", case_catalog)
+        assert str(err.value).startswith(f"{path}:3: column edad: ")
+
     def test_loads_bundled_file(self, case_dir, case_catalog):
         table = load_table(os.path.join(case_dir, "cartulina.csv"), "cartulina", case_catalog)
         assert len(table.rows) == 14
@@ -268,6 +436,15 @@ class TestRunQuery:
     def test_loads_from_directory(self, case_catalog, case_dir):
         result = run_query("SELECT cod_rollo FROM rollos", case_catalog, data_dir=case_dir)
         assert result.stats.rows_in == 8
+
+    def test_load_time_is_counted(self, case_catalog, case_dir, case_tables):
+        stats = run_query(FLAGSHIP, case_catalog, data_dir=case_dir).stats
+        assert stats.load_seconds > 0
+        assert stats.total_seconds == (
+            stats.load_seconds + stats.parse_seconds + stats.compile_seconds + stats.execute_seconds
+        )
+        # a table passed in memory is not loaded
+        assert run_query(FLAGSHIP, case_catalog, tables=case_tables).stats.load_seconds == 0
 
     def test_no_data_source(self, case_catalog):
         with pytest.raises(DataFileError):
