@@ -18,13 +18,15 @@ a different header fails rather than guessing.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import enum
+import functools
+import itertools
 import math
 import os
-import re
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 from .core import (
     FuzzyValue,
@@ -46,11 +48,13 @@ _ATTRIBUTES_HEADER = ("table", "column", "type", "domain", "units")
 _LABELS_HEADER = ("table", "column", "id", "name", "a", "b", "c", "d")
 _SIMILARITY_HEADER = ("table", "column", "name1", "name2", "degree")
 
-_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
+def _is_name(text: str) -> bool:
+    """Whether text is an ASCII identifier, the form of every catalog name."""
+    return text.isascii() and text.isidentifier()
 
 
 def _check_name(name, what: str) -> str:
-    if not isinstance(name, str) or not _NAME_RE.match(name):
+    if not isinstance(name, str) or not _is_name(name):
         raise CatalogError(f"{what} must be an identifier, got {name!r}")
     return name
 
@@ -171,20 +175,40 @@ class AttributeDescriptor:
 
 
 # -- conversion-row protocol ------------------------------------------------
+#
+# A fuzzy cell is a storage code followed by ';'-separated fields; data files
+# hold it as text, and a ConversionRow holds the same fields as numbers, names
+# and None.  Examples of the text form:
+#
+#     0 / 1 / 2       unknown / undefined / null  (any fuzzy column)
+#     3;26;;;         the crisp number 26         (ordered column)
+#     4;optima;;;     the label $optima, or its id
+#     5;60;;;70       the interval [60, 70]
+#     6;70;65;75;5    about 70, margin 5; 65 and 75 may be left out, but when
+#                     given must be 70-5 and 70+5 exactly
+#     7;25;5;-5;45    trapezoid 25,30,40,45, stored as (a, b-a, c-d, d)
+#     3;1;blanco      1/blanco                    (scalar column)
+#     4;0.4;rojo;0.6;azul
+#
+# Numbers must be finite, fields may carry surrounding whitespace, and an
+# ordered cell may leave out trailing empty fields.  One decoder reads both
+# forms: decode_row writes a row's fields as text and hands them to it.
 
 FieldValue = Union[float, str, None]
 
-# Type codes shared by both layouts; 3..7 depend on the column's domain.
-FT_UNKNOWN = 0
-FT_UNDEFINED = 1
-FT_NULL = 2
+# Codes 0..2 are the specials in both layouts; 3..7 depend on the column's domain.
+_SPECIAL_KINDS = (ValueKind.UNKNOWN, ValueKind.UNDEFINED, ValueKind.NULL)
+_SPECIAL_CODES = {kind: ft for ft, kind in enumerate(_SPECIAL_KINDS)}
+_CODES = {str(ft): ft for ft in range(8)}
 
-_SPECIAL_KINDS = {
-    FT_UNKNOWN: ValueKind.UNKNOWN,
-    FT_UNDEFINED: ValueKind.UNDEFINED,
-    FT_NULL: ValueKind.NULL,
+# Which of an ordered cell's four fields each code needs: 'x' given, '.' empty, '?' either.
+_ORDERED_SHAPES = {3: "x...", 4: "x...", 5: "x..x", 6: "x??x", 7: "xxxx"}
+# The same table as the set of (given, given, given, given) patterns that fit each code.
+_ORDERED_FITS = {
+    ft: {given for given in itertools.product((False, True), repeat=4)
+         if all(flag == "?" or (flag == "x") == g for flag, g in zip(shape, given))}
+    for ft, shape in _ORDERED_SHAPES.items()
 }
-_SPECIAL_CODES = {kind: ft for ft, kind in _SPECIAL_KINDS.items()}
 
 
 @dataclass(frozen=True)
@@ -234,7 +258,14 @@ def encode_value(value: FuzzyValue, attr: AttributeDescriptor) -> ConversionRow:
             return ConversionRow(6, (d, d - g, d + g, g))
         if k is ValueKind.TRAPEZOID:
             t = value.trap
-            return ConversionRow(7, (t.a, t.b - t.a, t.c - t.d, t.d))
+            left, right = t.b - t.a, t.c - t.d
+            if not (math.isfinite(left) and math.isfinite(right)):
+                corners = ", ".join(format_number(x) for x in t.corners())
+                raise ConversionError(
+                    f"{attr.qualified}: cannot store trapezoid [{corners}]: "
+                    f"its edge width b-a or c-d overflows"
+                )
+            return ConversionRow(7, (t.a, left, right, t.d))
         raise ConversionError(f"{k.value} value cannot be stored in ordered column {attr.qualified}")
     if attr.ftype is FuzzyType.FUZZY_SCALAR:
         if k in _SPECIAL_CODES:
@@ -249,111 +280,154 @@ def encode_value(value: FuzzyValue, attr: AttributeDescriptor) -> ConversionRow:
     raise ConversionError(f"column {attr.qualified} stores plain values, not conversion rows")
 
 
-def _require(row: ConversionRow, attr: AttributeDescriptor, present: str) -> None:
-    """Check an ordered row's four fields: 'x' required, '.' empty, '?' either."""
-    for i, flag in enumerate(present):
-        value = row.fields[i]
-        if flag == "x" and value is None:
-            raise ConversionError(
-                f"{attr.qualified}: code {row.ft} row is missing field {i + 1}"
-            )
-        if flag == "." and value is not None:
-            raise ConversionError(
-                f"{attr.qualified}: code {row.ft} row must leave field {i + 1} empty"
-            )
+def parse_number(text: str) -> float:
+    """The finite number text spells; anything else is a ConversionError."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if math.isfinite(value):
+        return value
+    raise ConversionError(f"expected a finite number, got {text!r}")
 
 
-def _number(row: ConversionRow, attr: AttributeDescriptor, i: int) -> float:
-    value = row.fields[i]
-    if isinstance(value, str):
-        raise ConversionError(
-            f"{attr.qualified}: code {row.ft} field {i + 1} must be a number, got {value!r}"
-        )
-    return float(value)
+def _finite(text: str) -> Optional[float]:
+    """The number text spells, or None when it is not a finite number."""
+    try:
+        return parse_number(text)
+    except ConversionError:
+        return None
 
 
-def approx_ends_mismatch(
-    value: FuzzyValue, low: Optional[float], high: Optional[float]
-) -> Optional[str]:
-    """What is wrong with a code 6 row's repeated ends (None when not given), or None."""
-    ends = ((2, "-", low, value.number - value.margin), (3, "+", high, value.number + value.margin))
-    for i, sign, given, end in ends:
-        if given is not None and given != end:
-            return (
-                f"code 6 field {i} must be center {sign} margin = {format_number(end)}, "
-                f"got {format_number(given)}"
-            )
-    return None
+def _split(text: str) -> Tuple[int, List[str]]:
+    """The storage code of a cell text and its stripped fields."""
+    parts = text.split(";")
+    head = parts[0].strip()
+    ft = _CODES.get(head)
+    if ft is None:
+        if not head and len(parts) == 1:
+            raise ConversionError("empty cell; use 2 for a null value")
+        code = _finite(head)
+        if code is None or not code.is_integer():
+            raise ConversionError(f"expected a fuzzy type code, got {head!r}")
+        if code not in range(8):
+            raise ConversionError(f"unknown fuzzy type code {int(code)}")
+        ft = int(code)
+    fields = [p.strip() for p in parts[1:]]
+    if ft < 3 and any(fields):
+        raise ConversionError(f"code {ft} cells carry no fields, got {';'.join(fields)!r}")
+    return ft, fields
+
+
+def _decode_ordered(attr: AttributeDescriptor, text: str) -> FuzzyValue:
+    ft, fields = _split(text)
+    if ft < 3:
+        return FuzzyValue(_SPECIAL_KINDS[ft])
+    if len(fields) > 4:
+        raise ConversionError(f"ordered cells hold four fields, got {len(fields)}")
+    fields += [""] * (4 - len(fields))
+    first, second, third, last = fields
+    if (first != "", second != "", third != "", last != "") not in _ORDERED_FITS[ft]:
+        for i, (flag, part) in enumerate(zip(_ORDERED_SHAPES[ft], fields), start=1):
+            if flag == "x" and not part:
+                raise ConversionError(f"code {ft} cells need field {i}")
+            if flag == "." and part:
+                raise ConversionError(f"code {ft} cells leave field {i} empty, got {part!r}")
+    if ft == 3:
+        return FuzzyValue.crisp(parse_number(first))
+    if ft == 4:
+        # labels are given by name or by id
+        ld = attr.find_label(first)
+        if ld is None:
+            fuzzy_id = _finite(first)
+            if fuzzy_id is None:
+                raise ConversionError(f"label {first!r} is not defined for {attr.qualified}")
+            if not fuzzy_id.is_integer():
+                raise ConversionError(f"label id must be an integer, got {first!r}")
+            ld = attr.label_by_id(int(fuzzy_id))
+            if ld is None:
+                raise ConversionError(f"no label of {attr.qualified} has id {int(fuzzy_id)}")
+        return FuzzyValue.label(ld.name)
+    if ft == 5:
+        return FuzzyValue.interval(parse_number(first), parse_number(last))
+    if ft == 6:
+        value = FuzzyValue.approx(parse_number(first), parse_number(last))
+        ends = ((2, "-", second, value.number - value.margin),
+                (3, "+", third, value.number + value.margin))
+        for i, sign, given, end in ends:
+            if given and parse_number(given) != end:
+                raise ConversionError(
+                    f"code 6 field {i} must be center {sign} margin = {format_number(end)}, "
+                    f"got {format_number(parse_number(given))}"
+                )
+        return value
+    a, d = parse_number(first), parse_number(last)
+    return FuzzyValue.trapezoid(a, a + parse_number(second), d + parse_number(third), d)
+
+
+def _decode_scalar(attr: AttributeDescriptor, text: str) -> FuzzyValue:
+    ft, fields = _split(text)
+    if ft < 3:
+        return FuzzyValue(_SPECIAL_KINDS[ft])
+    if ft > 4:
+        raise ConversionError(f"code {ft} is not valid for a scalar column")
+    if "" in fields:
+        raise ConversionError(f"field {fields.index('') + 1} is empty")
+    if not fields or len(fields) % 2 or (ft == 3 and len(fields) != 2):
+        want = "one (degree, element) pair" if ft == 3 else "(degree, element) pairs"
+        raise ConversionError(f"code {ft} cells hold {want}, got {len(fields)} fields")
+    pairs = []
+    for i in range(0, len(fields), 2):
+        degree = parse_number(fields[i])
+        element = fields[i + 1]
+        # a name is never a number, so float() runs only on the other texts
+        if not _is_name(element):
+            element = _finite(element)
+            if element is None:
+                raise ConversionError(f"element {fields[i + 1]!r} is neither a name nor a finite number")
+        pairs.append((degree, element))
+    if ft == 3:
+        return FuzzyValue.simple(*pairs[0])
+    return FuzzyValue.poss_dist(pairs)
+
+
+def cell_decoder(attr: AttributeDescriptor) -> Callable[[str], FuzzyValue]:
+    """The function that reads one cell text of attr's fuzzy column.
+
+    It raises a FuzzyDbError for every malformed cell.  Scalar elements may be
+    any name or finite number; whether they belong to the column's domain is
+    the caller's question.
+    """
+    if attr.ftype is FuzzyType.FUZZY_ORDERED:
+        return functools.partial(_decode_ordered, attr)
+    if attr.ftype is FuzzyType.FUZZY_SCALAR:
+        return functools.partial(_decode_scalar, attr)
+    raise ConversionError(f"column {attr.qualified} stores plain values, not conversion rows")
 
 
 def decode_row(row: ConversionRow, attr: AttributeDescriptor) -> FuzzyValue:
-    """Rebuild the fuzzy value a conversion row encodes; inverse of encode_value."""
-    if attr.ftype is FuzzyType.FUZZY_ORDERED:
-        if len(row.fields) != 4:
-            raise ConversionError(
-                f"{attr.qualified}: ordered rows carry four fields, got {len(row.fields)}"
-            )
-        ft = row.ft
-        if ft in _SPECIAL_KINDS:
-            _require(row, attr, "....")
-            return FuzzyValue(_SPECIAL_KINDS[ft])
-        if ft == 3:
-            _require(row, attr, "x...")
-            return FuzzyValue.crisp(_number(row, attr, 0))
-        if ft == 4:
-            _require(row, attr, "x...")
-            raw = _number(row, attr, 0)
-            if not raw.is_integer():
-                raise ConversionError(f"{attr.qualified}: label id must be an integer, got {raw!r}")
-            ld = attr.label_by_id(int(raw))
-            if ld is None:
-                raise ConversionError(f"{attr.qualified}: no label has id {int(raw)}")
-            return FuzzyValue.label(ld.name)
-        if ft == 5:
-            _require(row, attr, "x..x")
-            return FuzzyValue.interval(_number(row, attr, 0), _number(row, attr, 3))
-        if ft == 6:
-            # Fields 2 and 3 repeat center-margin and center+margin; when given
-            # they must match the authoritative pair exactly.
-            _require(row, attr, "x??x")
-            value = FuzzyValue.approx(_number(row, attr, 0), _number(row, attr, 3))
-            given = [None if row.fields[i] is None else _number(row, attr, i) for i in (1, 2)]
-            mismatch = approx_ends_mismatch(value, *given)
-            if mismatch:
-                raise ConversionError(f"{attr.qualified}: {mismatch}")
-            return value
-        if ft == 7:
-            _require(row, attr, "xxxx")
-            a = _number(row, attr, 0)
-            d = _number(row, attr, 3)
-            return FuzzyValue.trapezoid(a, a + _number(row, attr, 1), d + _number(row, attr, 2), d)
-        raise ConversionError(f"{attr.qualified}: code {ft} is not valid for an ordered column")
-    if attr.ftype is FuzzyType.FUZZY_SCALAR:
-        ft = row.ft
-        if ft in _SPECIAL_KINDS:
-            if row.fields:
-                raise ConversionError(f"{attr.qualified}: code {ft} row carries no fields")
-            return FuzzyValue(_SPECIAL_KINDS[ft])
-        if ft not in (3, 4):
-            raise ConversionError(f"{attr.qualified}: code {ft} is not valid for a scalar column")
-        if not row.fields or len(row.fields) % 2:
-            raise ConversionError(
-                f"{attr.qualified}: code {ft} row needs (degree, element) pairs, "
-                f"got {len(row.fields)} fields"
-            )
-        pairs = []
-        for i in range(0, len(row.fields), 2):
-            p = _number(row, attr, i)
-            e = row.fields[i + 1]
-            if e is None:
-                raise ConversionError(f"{attr.qualified}: pair {i // 2 + 1} has no element")
-            pairs.append((p, e if isinstance(e, str) else float(e)))
-        if ft == 3:
-            if len(pairs) != 1:
-                raise ConversionError(f"{attr.qualified}: code 3 rows hold exactly one pair")
-            return FuzzyValue.simple(*pairs[0])
-        return FuzzyValue.poss_dist(pairs)
-    raise ConversionError(f"column {attr.qualified} stores plain values, not conversion rows")
+    """Rebuild the fuzzy value a conversion row encodes; inverse of encode_value.
+
+    The fields are written as cell text (repr carries every finite float
+    exactly) and read by the cell decoder, so rows obey the rules of cells.
+    """
+    decode = cell_decoder(attr)
+    if attr.ftype is FuzzyType.FUZZY_ORDERED and len(row.fields) != 4:
+        raise ConversionError(f"{attr.qualified}: ordered rows carry four fields, got {len(row.fields)}")
+    parts = [str(row.ft)]
+    for x in row.fields:
+        if isinstance(x, str) and ";" in x:
+            raise ConversionError(f"{attr.qualified}: a field holds ';', got {x!r}")
+        if x is None or isinstance(x, str):
+            parts.append(x or "")
+        elif math.isfinite(x):
+            parts.append(repr(float(x)))
+        else:
+            raise ConversionError(f"{attr.qualified}: expected a finite number, got {x!r}")
+    try:
+        return decode(";".join(parts))
+    except FuzzyDbError as exc:
+        raise ConversionError(f"{attr.qualified}: {exc}") from None
 
 
 # -- the catalog itself ------------------------------------------------------
@@ -476,33 +550,41 @@ class Catalog:
 # -- persistence --------------------------------------------------------------
 
 
-def _format_field(x) -> str:
-    if x is None:
-        return ""
-    if isinstance(x, str):
-        return x
-    return format_number(x)
+@contextlib.contextmanager
+def atomic_write(path):
+    """A text file written to <path>.tmp and moved over path once complete.
+
+    On any exception the temporary file is removed and path is left as it was.
+    There is no fsync, so a power loss may still lose the newest version.
+    """
+    tmp = f"{os.fspath(path)}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="") as f:
+            yield f
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 def save_catalog(catalog: Catalog, directory) -> None:
     """Write the three catalog files, creating the directory if needed."""
     os.makedirs(directory, exist_ok=True)
     attrs = catalog.attributes()
-    with open(os.path.join(directory, ATTRIBUTES_FILE), "w", encoding="utf-8", newline="") as f:
+    with atomic_write(os.path.join(directory, ATTRIBUTES_FILE)) as f:
         w = csv.writer(f, delimiter="\t", lineterminator="\n")
         w.writerow(_ATTRIBUTES_HEADER)
         for a in attrs:
             w.writerow([a.table, a.column, int(a.ftype), a.domain_kind, a.units or ""])
-    with open(os.path.join(directory, LABELS_FILE), "w", encoding="utf-8", newline="") as f:
+    with atomic_write(os.path.join(directory, LABELS_FILE)) as f:
         w = csv.writer(f, delimiter="\t", lineterminator="\n")
         w.writerow(_LABELS_HEADER)
         for a in attrs:
             for ld in sorted(a.labels, key=lambda x: x.fuzzy_id):
-                corners = ld.trap.corners() if ld.trap is not None else (None,) * 4
-                w.writerow(
-                    [a.table, a.column, ld.fuzzy_id, ld.name] + [_format_field(x) for x in corners]
-                )
-    with open(os.path.join(directory, SIMILARITY_FILE), "w", encoding="utf-8", newline="") as f:
+                corners = [format_number(x) for x in ld.trap.corners()] if ld.trap else [""] * 4
+                w.writerow([a.table, a.column, ld.fuzzy_id, ld.name] + corners)
+    with atomic_write(os.path.join(directory, SIMILARITY_FILE)) as f:
         w = csv.writer(f, delimiter="\t", lineterminator="\n")
         w.writerow(_SIMILARITY_HEADER)
         for a in attrs:

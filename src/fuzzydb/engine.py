@@ -1,36 +1,20 @@
 """Table storage, query execution, and result rendering.
 
 Tables live in CSV files, one per table, whose header names the columns.
-Plain columns hold their value directly; fuzzy columns hold a compact cell
-syntax: the conversion-row fields joined with ';', labels and scalar domain
-elements written by name.  Examples:
-
-    26              plain number            (precise column)
-    0               unknown                 (any fuzzy column)
-    3;26;;;         the crisp number 26     (ordered column)
-    4;optima;;;     the label $optima       (ordered column)
-    5;60;;;70       the interval [60, 70]   (ordered column)
-    6;70;65;75;5    about 70, margin 5      (ordered column; 65 and 75 may
-                                            be left out, but when given must
-                                            be 70-5 and 70+5 exactly)
-    7;25;5;-5;45    trapezoid 25,30,40,45   (ordered column)
-    3;1;blanco      1/blanco                (scalar column)
-    4;0.4;rojo;0.6;azul                     (scalar column)
-
-Numbers must be finite.  Files are UTF-8 and may start with a byte order mark.
+Plain columns hold their value directly; fuzzy columns hold the cell text of
+the conversion-row protocol, which catalog.py describes and decodes.  Files
+are UTF-8 and may start with a byte order mark.
 
 load_table decodes each cell text once per column: one decoder per column
-splits the text, checks each field once and builds the value, and repeated
-cells of the small-vocabulary kinds share one (immutable) value object.
+reads the text, and repeated cells of the small-vocabulary kinds share one
+(immutable) value object.
 """
 
 from __future__ import annotations
 
 import csv
-import functools
 import io
 import json
-import math
 import os
 import time
 from dataclasses import dataclass, field
@@ -40,8 +24,10 @@ from .catalog import (
     AttributeDescriptor,
     Catalog,
     FuzzyType,
-    approx_ends_mismatch,
+    atomic_write,
+    cell_decoder,
     encode_value,
+    parse_number,
 )
 from .core import FuzzyValue, ValueKind, feq, fold_name, format_number
 from .errors import DataFileError, FuzzyDbError, undecodable_line
@@ -72,155 +58,43 @@ class Table:
             raise DataFileError(f"table {self.name} has no column {column!r}") from None
 
 
-def _finite(text: str) -> Optional[float]:
-    """The number text spells, or None when it is not a finite number."""
-    try:
-        value = float(text)
-    except ValueError:
-        return None
-    return value if math.isfinite(value) else None
-
-
-def _number(text: str) -> float:
-    value = _finite(text)
-    if value is None:
-        raise DataFileError(f"expected a finite number, got {text!r}")
-    return value
-
-
 # Kinds drawn from a small vocabulary, so their cell texts repeat within a
 # table; the multi-number kinds rarely repeat and are not kept for sharing.
 _SHARED_KINDS = frozenset(
     {ValueKind.UNKNOWN, ValueKind.UNDEFINED, ValueKind.NULL, ValueKind.CRISP, ValueKind.LABEL,
      ValueKind.SIMPLE}
 )
-_CODES = {str(ft): ft for ft in range(8)}
-_SPECIALS = (ValueKind.UNKNOWN, ValueKind.UNDEFINED, ValueKind.NULL)
-# Which of an ordered cell's four fields each code needs: 'x' given, '.' empty, '?' either.
-_ORDERED_SHAPES = {3: "x...", 4: "x...", 5: "x..x", 6: "x??x", 7: "xxxx"}
-
-
-def _shape_error(ft: int, fields: List[str]) -> DataFileError:
-    """The error for an ordered cell whose fields do not fit its code's shape."""
-    for i, (flag, part) in enumerate(zip(_ORDERED_SHAPES[ft], fields), start=1):
-        if flag == "x" and not part:
-            return DataFileError(f"code {ft} cells need field {i}")
-        if flag == "." and part:
-            return DataFileError(f"code {ft} cells leave field {i} empty, got {part!r}")
-    raise AssertionError(f"fields {fields} fit code {ft}")
-
-
-def _split(text: str):
-    """The storage code of a fuzzy cell and its stripped fields; specials have none."""
-    parts = text.split(";")
-    head = parts[0].strip()
-    ft = _CODES.get(head)
-    if ft is None:
-        if not head and len(parts) == 1:
-            raise DataFileError("empty cell; use 2 for a null value")
-        code = _finite(head)
-        if code is None or not code.is_integer():
-            raise DataFileError(f"expected a fuzzy type code, got {head!r}")
-        if code not in range(8):
-            raise DataFileError(f"unknown fuzzy type code {int(code)}")
-        ft = int(code)
-    fields = [p.strip() for p in parts[1:]]
-    if ft < 3 and any(fields):
-        raise DataFileError(f"code {ft} cells carry no fields, got {text.strip()!r}")
-    return ft, fields
-
-
-def _ordered_cell(attr: AttributeDescriptor, text: str):
-    ft, fields = _split(text)
-    if ft < 3:
-        return FuzzyValue(_SPECIALS[ft])
-    if len(fields) > 4:
-        raise DataFileError(f"too many fields in {text.strip()!r}")
-    fields += [""] * (4 - len(fields))
-    first, second, third, last = fields
-    # _ORDERED_SHAPES[ft] written out, so a cell that fits costs no loop
-    middle_fits = ft == 6 or bool(second) == bool(third) == (ft == 7)
-    if not (first and bool(last) == (ft > 4) and middle_fits):
-        raise _shape_error(ft, fields)
-    if ft == 3:
-        return FuzzyValue.crisp(_number(first))
-    if ft == 4:
-        # labels are written by name; numeric ids are still accepted
-        ld = attr.find_label(first)
-        if ld is None:
-            fuzzy_id = _finite(first)
-            if fuzzy_id is None:
-                raise DataFileError(f"label {first!r} is not defined for {attr.qualified}")
-            if not fuzzy_id.is_integer():
-                raise DataFileError(f"label id must be an integer, got {first!r}")
-            ld = attr.label_by_id(int(fuzzy_id))
-            if ld is None:
-                raise DataFileError(f"no label of {attr.qualified} has id {int(fuzzy_id)}")
-        return FuzzyValue.label(ld.name)
-    if ft == 5:
-        return FuzzyValue.interval(_number(first), _number(last))
-    if ft == 6:
-        value = FuzzyValue.approx(_number(first), _number(last))
-        low = _number(second) if second else None
-        high = _number(third) if third else None
-        mismatch = approx_ends_mismatch(value, low, high)
-        if mismatch:
-            raise DataFileError(mismatch)
-        return value
-    a, d = _number(first), _number(last)
-    return FuzzyValue.trapezoid(a, a + _number(second), d + _number(third), d)
-
-
-def _scalar_cell(attr: AttributeDescriptor, text: str):
-    ft, fields = _split(text)
-    if ft < 3:
-        return FuzzyValue(_SPECIALS[ft])
-    if ft > 4:
-        raise DataFileError(f"code {ft} is not valid for a scalar column")
-    if "" in fields:
-        raise DataFileError(f"empty field in {text.strip()!r}")
-    if not fields or len(fields) % 2 or (ft == 3 and len(fields) != 2):
-        want = "one (degree, element) pair" if ft == 3 else "(degree, element) pairs"
-        raise DataFileError(f"code {ft} cells hold {want}, got {len(fields)} fields")
-    pairs = []
-    for i in range(0, len(fields), 2):
-        degree = _finite(fields[i])
-        if degree is None:
-            raise DataFileError(f"expected a degree, got {fields[i]!r}")
-        element = fields[i + 1]
-        if attr.find_label(element) is None:
-            # element names are identifiers, so a number is never a known name
-            element = _finite(element)
-            if element is None:
-                raise DataFileError(
-                    f"element {fields[i + 1]!r} is not in the domain of {attr.qualified}"
-                )
-        pairs.append((degree, element))
-    if ft == 3:
-        return FuzzyValue.simple(*pairs[0])
-    return FuzzyValue.poss_dist(pairs)
-
-
-def _plain_number(text: str) -> float:
-    return _number(text.strip())
 
 
 def _cell_decoder(attr: AttributeDescriptor) -> Callable[[str], object]:
     """The function that turns one CSV cell of attr's column into its value."""
+    if attr.ftype is FuzzyType.PRECISE:
+        return parse_number if attr.domain_kind == "numeric" else str.strip
+    decode = cell_decoder(attr)
     if attr.ftype is FuzzyType.FUZZY_ORDERED:
-        return functools.partial(_ordered_cell, attr)
-    if attr.ftype is FuzzyType.FUZZY_SCALAR:
-        return functools.partial(_scalar_cell, attr)
-    return _plain_number if attr.domain_kind == "numeric" else str.strip
+        return decode
+
+    def decode_scalar(text: str) -> FuzzyValue:
+        # the codec takes any name or number; the column's domain is its labels
+        value = decode(text)
+        for _, element in value.pairs:
+            if not isinstance(element, str) or attr.find_label(element) is None:
+                raise DataFileError(f"element {element!r} is not in the domain of {attr.qualified}")
+        return value
+
+    return decode_scalar
 
 
 def parse_cell(text: str, attr: AttributeDescriptor):
     """Parse one CSV cell for attr; returns a plain value or a FuzzyValue.
 
-    Every malformed cell raises a FuzzyDbError.  Numbers must be finite: inf
+    Every malformed cell raises a DataFileError.  Numbers must be finite: inf
     and nan are rejected like any other non-number.
     """
-    return _cell_decoder(attr)(text)
+    try:
+        return _cell_decoder(attr)(text)
+    except FuzzyDbError as exc:
+        raise DataFileError(str(exc)) from None
 
 
 def format_cell(value, attr: AttributeDescriptor) -> str:
@@ -230,17 +104,10 @@ def format_cell(value, attr: AttributeDescriptor) -> str:
     row = encode_value(value, attr)
     if row.ft in (0, 1, 2):
         return str(row.ft)
-    texts = [str(row.ft)]
-    for i, x in enumerate(row.fields):
-        if x is None:
-            texts.append("")
-        elif isinstance(x, str):
-            texts.append(x)
-        elif attr.ftype is FuzzyType.FUZZY_ORDERED and row.ft == 4 and i == 0:
-            texts.append(attr.label_by_id(int(x)).name)
-        else:
-            texts.append(format_number(x))
-    return ";".join(texts)
+    if value.kind is ValueKind.LABEL:  # written by name, as the catalog spells it
+        return f"4;{attr.label_by_id(int(row.fields[0])).name};;;"
+    texts = ("" if x is None else x if isinstance(x, str) else format_number(x) for x in row.fields)
+    return ";".join((str(row.ft), *texts))
 
 
 def _utf8_lines(f, path):
@@ -311,8 +178,8 @@ def load_table(path, table_name: str, catalog: Catalog) -> Table:
 
 
 def save_table(table: Table, path) -> None:
-    """Write a table back to CSV in schema order."""
-    with open(path, "w", encoding="utf-8", newline="") as f:
+    """Write a table back to CSV in schema order, replacing the file only once it is complete."""
+    with atomic_write(path) as f:
         writer = csv.writer(f, lineterminator="\n")
         writer.writerow([attr.column for attr in table.schema])
         for row in table.rows:

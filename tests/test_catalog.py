@@ -1,6 +1,8 @@
 """Catalog registry, conversion-row protocol, and TSV persistence."""
 
+import csv
 import os
+from unittest import mock
 
 import pytest
 
@@ -258,6 +260,18 @@ class TestEncodeDecode:
             with pytest.raises(ConversionError, match="code 6 field"):
                 decode_row(ConversionRow(6, (450.0, *ends, 20.0)), attr)
 
+    def test_decode_reads_fields_as_cell_text(self):
+        # text fields that spell a number, or name a label at code 4, decode as a cell would
+        attr = ordered_attr()
+        assert decode_row(ConversionRow(3, (" 26 ", None, None, None)), attr) == FuzzyValue.crisp(26)
+        assert decode_row(ConversionRow(4, ("SMALL", None, None, None)), attr) == FuzzyValue.label("small")
+        assert decode_row(ConversionRow(3, (1.0, "27")), scalar_attr()) == FuzzyValue.simple(1, 27.0)
+        for element in ("a b", float("inf")):
+            with pytest.raises(ConversionError):
+                decode_row(ConversionRow(3, (1.0, element)), scalar_attr())
+        with pytest.raises(ConversionError, match="holds ';'"):  # three fields, not two pairs
+            decode_row(ConversionRow(4, (0.5, "a;0.6", "b")), scalar_attr())
+
     def test_unknown_code_rejected(self):
         with pytest.raises(ConversionError):
             ConversionRow(8, ())
@@ -294,6 +308,24 @@ class TestPersistence:
             first = (tmp_path / "one" / name).read_bytes()
             second = (tmp_path / "two" / name).read_bytes()
             assert first == second
+
+    def test_failed_save_keeps_the_old_files(self, small_catalog, tmp_path, monkeypatch):
+        save_catalog(small_catalog, tmp_path)
+        before = {name: (tmp_path / name).read_bytes() for name in os.listdir(tmp_path)}
+        small_catalog.define_label("lots", "width", "huge", (80, 90, 200, 300))
+        real_writer = csv.writer
+
+        def failing_writer(f, **kwargs):
+            writer = real_writer(f, **kwargs)
+            if os.path.basename(f.name) == "labels.tsv.tmp":
+                writer = mock.Mock(writerow=mock.Mock(side_effect=OSError("disk full")))
+            return writer
+
+        monkeypatch.setattr(csv, "writer", failing_writer)
+        with pytest.raises(OSError, match="disk full"):
+            save_catalog(small_catalog, tmp_path)
+        after = {name: (tmp_path / name).read_bytes() for name in os.listdir(tmp_path)}
+        assert after == before
 
     def test_missing_attributes_file(self, tmp_path):
         with pytest.raises(CatalogError):

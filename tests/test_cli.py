@@ -125,6 +125,15 @@ class TestBadInput:
         assert main(["query", sql, "--catalog", str(case_copy), "--data-dir", str(case_copy)]) == 2
         assert "rollos.csv:2: column peso: code 6 field 2" in capsys.readouterr().err
 
+    def test_numeric_scalar_element(self, capsys, case_copy):
+        path = case_copy / "cartulina.csv"
+        path.write_text(path.read_text().replace("333,20,Huecograbado,0,", "333,20,Huecograbado,3;1;5,"))
+        sql = "SELECT cod_carti FROM cartulina WHERE tono_cara FEQ $blanco THOLD 0.5"
+        assert main(["query", sql, "--catalog", str(case_copy), "--data-dir", str(case_copy)]) == 2
+        err = capsys.readouterr().err
+        assert "cartulina.csv:4: column tono_cara: element 5.0 is not in the domain of " \
+               "cartulina.tono_cara" in err
+
     def test_non_finite_label_corner(self, capsys, case_copy):
         path = case_copy / "labels.tsv"
         path.write_text(path.read_text().replace("joven\t15", "joven\t-inf"))

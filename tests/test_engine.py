@@ -9,6 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 import fuzzydb.engine
 from fuzzydb import (
+    ConversionError,
+    ConversionRow,
     DataFileError,
     FuzzyDbError,
     FuzzyValue,
@@ -149,6 +151,7 @@ class TestCellCodec:
             "3;1.5;blanco",
             "0;1;blanco",        # specials carry no fields
             "3;1;blanco;",       # trailing empty field
+            "3;1;5",             # a number is no element of a domain of names
         ],
     )
     def test_parse_scalar_errors(self, tmp_path, case_catalog, tone_attr, text):
@@ -173,6 +176,65 @@ class TestCellCodec:
 
     def test_format_uses_label_names(self, width_attr):
         assert format_cell(FuzzyValue.label("optima"), width_attr) == "4;optima;;;"
+
+    def test_numeric_scalar_element_names_its_cell(self, tmp_path, case_catalog, tone_attr):
+        path = tmp_path / "cartulina.csv"
+        path.write_text(
+            "cod_carti,cod_capa,impresion,tono_cara,tono_reverso\n"
+            "111,10,Offset,3;1;blanco,0\n"
+            "222,10,Offset,3;1;5,0\n"
+        )
+        with pytest.raises(DataFileError) as err:
+            load_table(path, "cartulina", case_catalog)
+        assert str(err.value) == (
+            f"{path}:3: column tono_cara: element 5.0 is not in the domain of cartulina.tono_cara"
+        )
+
+    @pytest.mark.parametrize(
+        "layout,row,text",
+        [
+            ("ordered", ConversionRow(0, (1.0, None, None, None)), "0;1.0;;;"),
+            ("ordered", ConversionRow(1, (None, None, "x", None)), "1;;;x;"),
+            ("ordered", ConversionRow(2, (None, None, None, 5.0)), "2;;;;5.0"),
+            ("ordered", ConversionRow(3, ("sixty", None, None, None)), "3;sixty;;;"),
+            ("ordered", ConversionRow(3, (65.0, 1.0, None, None)), "3;65.0;1.0;;"),
+            ("ordered", ConversionRow(4, (2.5, None, None, None)), "4;2.5;;;"),
+            ("ordered", ConversionRow(4, (9.0, None, None, None)), "4;9.0;;;"),
+            ("ordered", ConversionRow(4, ("grande", None, None, None)), "4;grande;;;"),
+            ("ordered", ConversionRow(5, (70.0, None, None, 60.0)), "5;70.0;;;60.0"),
+            ("ordered", ConversionRow(5, (60.0, None, None, None)), "5;60.0;;;"),
+            ("ordered", ConversionRow(6, (75.0, 0.0, 0.0, 5.0)), "6;75.0;0.0;0.0;5.0"),
+            ("ordered", ConversionRow(6, (75.0, None, 81.0, 5.0)), "6;75.0;;81.0;5.0"),
+            ("ordered", ConversionRow(7, (1.0, 1.0, None, 4.0)), "7;1.0;1.0;;4.0"),
+            ("ordered", ConversionRow(7, (10.0, 1.0, -1.0, 5.0)), "7;10.0;1.0;-1.0;5.0"),
+            ("scalar", ConversionRow(0, (1.0,)), "0;1.0"),
+            ("scalar", ConversionRow(1, ("blanco",)), "1;blanco"),
+            ("scalar", ConversionRow(2, (1.0, "blanco")), "2;1.0;blanco"),
+            ("scalar", ConversionRow(3, (0.5, "blanco", 0.5, "cafe")), "3;0.5;blanco;0.5;cafe"),
+            ("scalar", ConversionRow(3, (0.0, "blanco")), "3;0.0;blanco"),
+            ("scalar", ConversionRow(3, (1.0, None)), "3;1.0;"),
+            ("scalar", ConversionRow(4, (0.4, "blanco", 0.6)), "4;0.4;blanco;0.6"),
+            ("scalar", ConversionRow(4, ("x", "blanco")), "4;x;blanco"),
+            ("scalar", ConversionRow(4, (0.4, "a b")), "4;0.4;a b"),
+            ("scalar", ConversionRow(5, (1.0, "blanco")), "5;1.0;blanco"),
+            ("scalar", ConversionRow(6, ()), "6"),
+            ("scalar", ConversionRow(7, (0.0, 1.0, -1.0, 2.0)), "7;0.0;1.0;-1.0;2.0"),
+        ],
+    )
+    def test_rows_and_cells_share_one_decoder(self, width_attr, tone_attr, layout, row, text):
+        # decode_row writes a row as cell text, so a fault reads the same in both forms
+        attr = width_attr if layout == "ordered" else tone_attr
+        with pytest.raises(ConversionError) as from_row:
+            decode_row(row, attr)
+        with pytest.raises(DataFileError) as from_cell:
+            parse_cell(text, attr)
+        assert str(from_row.value) == f"{attr.qualified}: {from_cell.value}"
+
+    def test_trapezoid_with_overflowing_edge_is_not_stored(self, width_attr):
+        value = FuzzyValue.trapezoid(-1e308, 1e308, 1e308, 1e308)
+        for store in (format_cell, encode_value):
+            with pytest.raises(ConversionError, match="pilas.formato_largo: .* overflows"):
+                store(value, width_attr)
 
 
 # Extreme finite doubles, which every text form must carry exactly.
@@ -346,6 +408,19 @@ class TestLoadTable:
     def test_missing_file(self, tmp_path, case_catalog):
         with pytest.raises(DataFileError):
             load_table(tmp_path / "nope.csv", "personas", case_catalog)
+
+    def test_failed_save_keeps_the_old_file(self, tmp_path, case_dir, case_catalog):
+        table = load_table(os.path.join(case_dir, "pilas.csv"), "pilas", case_catalog)
+        path = tmp_path / "pilas.csv"
+        save_table(table, path)
+        before = path.read_bytes()
+        slot = table.column_index("formato_largo")
+        table.rows[0][slot] = FuzzyValue.crisp(1)
+        table.rows[-1][slot] = FuzzyValue.trapezoid(-1e308, 1e308, 1e308, 1e308)
+        with pytest.raises(ConversionError):
+            save_table(table, path)
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["pilas.csv"]
 
     def test_save_load_round_trip(self, tmp_path, case_dir, case_catalog):
         for name in ("cartulina", "pilas", "rollos", "personas"):
