@@ -151,12 +151,13 @@ class AttributeDescriptor:
 
     def attach_label(self, ld: LabelDefinition) -> None:
         """Append a label; a scalar domain's similarity relation grows with it."""
-        if self.find_label(ld.name) is not None:
+        key = fold_name(ld.name)
+        if key in self._by_name:
             raise CatalogError(f"label {ld.name!r} is already defined for {self.qualified}")
         if self.label_by_id(ld.fuzzy_id) is not None:
             raise CatalogError(f"label id {ld.fuzzy_id} is already taken on {self.qualified}")
         self.labels.append(ld)
-        self._by_name[fold_name(ld.name)] = ld
+        self._by_name[key] = ld
         self._by_id[ld.fuzzy_id] = ld
         if self.similarity is not None:
             old = self.similarity
@@ -532,11 +533,18 @@ class Catalog:
 
     def set_similarity(self, table: str, column: str, name1: str, name2: str, degree: float) -> None:
         """Record how interchangeable two scalar domain elements are (symmetric)."""
+        attr, i, j = self._similarity_pair(table, column, name1, name2)
+        attr.similarity.set_at(i, j, degree)
+
+    def _similarity_pair(self, table: str, column: str, name1: str, name2: str):
+        """The column and the domain positions of two of its labels, folding each name once."""
         attr = self.get(table, column)
-        for name in (name1, name2):
-            if attr.find_label(name) is None:
+        keys = (fold_name(name1), fold_name(name2))
+        for name, key in zip((name1, name2), keys):
+            if key not in attr._by_name:
                 raise CatalogError(f"label {name!r} is not defined for {attr.qualified}")
-        attr.ensure_similarity().set_degree(name1, name2, degree)
+        rel = attr.ensure_similarity()
+        return attr, rel.index_of(name1, keys[0]), rel.index_of(name2, keys[1])
 
     def validate(self) -> List[Tuple[AttributeDescriptor, SimilarityReport]]:
         """Run the similarity checks for every unordered column that has a relation."""
@@ -603,7 +611,7 @@ def _read_tsv(path, header: Tuple[str, ...], required: bool):
     with open(path, encoding="utf-8-sig", newline="") as f:
         reader = csv.reader(f, delimiter="\t")
         try:
-            rows = [(reader.line_num, row) for row in reader if row and any(cell for cell in row)]
+            rows = [(reader.line_num, row) for row in reader if any(row)]
         except UnicodeDecodeError:
             raise CatalogError(f"{path}:{undecodable_line(path)}: not valid UTF-8") from None
     if not rows or tuple(rows[0][1]) != header:
@@ -664,14 +672,18 @@ def load_catalog(directory) -> Catalog:
         where = f"{path}:{lineno}"
         table, column, name1, name2, degree_text = row
         degree = _parse_float(degree_text, where)
-        pair_key = (fold_name(table), fold_name(column), frozenset((fold_name(name1), fold_name(name2))))
+        try:
+            attr, i, j = catalog._similarity_pair(table, column, name1, name2)
+        except FuzzyDbError as exc:
+            raise CatalogError(f"{where}: {exc}") from None
+        pair_key = (id(attr), frozenset((i, j)))  # descriptors are unhashable and outlive the load
         if pair_key in seen and seen[pair_key] != degree:
             raise CatalogError(
                 f"{where}: pair ({name1}, {name2}) already set to {seen[pair_key]}"
             )
         seen[pair_key] = degree
         try:
-            catalog.set_similarity(table, column, name1, name2, degree)
+            attr.similarity.set_at(i, j, degree)
         except FuzzyDbError as exc:
             raise CatalogError(f"{where}: {exc}") from None
 

@@ -33,9 +33,12 @@ def check_degree(value: float, what: str = "degree") -> float:
 
 
 def format_number(x: float) -> str:
-    """Shortest decimal text that parses back to the same float; integers lose the '.0'."""
+    """Shortest decimal text that parses back to the same float; integers lose the '.0'.
+
+    Zero keeps its sign: -0.0 is written '-0.0', not '0'.
+    """
     x = float(x)
-    if x == int(x) and abs(x) < 1e16:
+    if x == int(x) and abs(x) < 1e16 and (x or math.copysign(1.0, x) > 0):
         return str(int(x))
     return repr(x)
 
@@ -45,7 +48,7 @@ def fold_name(name: str) -> str:
     return name.casefold()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Trapezoid:
     """Trapezoidal membership function over an ordered numeric domain.
 
@@ -109,7 +112,7 @@ UNORDERED_KINDS = frozenset({ValueKind.SIMPLE, ValueKind.POSS_DIST})
 SPECIAL_KINDS = frozenset({ValueKind.UNKNOWN, ValueKind.UNDEFINED, ValueKind.NULL})
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FuzzyValue:
     """One cell value; exactly the payload fields for its kind are set.
 
@@ -308,9 +311,10 @@ class SimilarityRelation:
         n = len(names)
         return cls(names, [[1.0 if i == j else 0.0 for j in range(n)] for i in range(n)])
 
-    def index_of(self, name: str) -> int:
+    def index_of(self, name: str, key: Optional[str] = None) -> int:
+        """Position of name in the domain; key, when the caller has it, is fold_name(name)."""
         try:
-            return self._index[fold_name(name)]
+            return self._index[fold_name(name) if key is None else key]
         except KeyError:
             raise SimilarityError(f"element {name!r} is not in the similarity domain") from None
 
@@ -327,7 +331,10 @@ class SimilarityRelation:
 
     def set_degree(self, d1: str, d2: str, s: Degree) -> None:
         """Set s(d1, d2) and s(d2, d1); the diagonal is pinned at 1."""
-        i, j = self.index_of(d1), self.index_of(d2)
+        self.set_at(self.index_of(d1), self.index_of(d2), s)
+
+    def set_at(self, i: int, j: int, s: Degree) -> None:
+        """set_degree for the elements at domain positions i and j."""
         s = check_degree(s, "similarity degree")
         if i == j:
             if s != 1.0:

@@ -7,7 +7,8 @@ are UTF-8 and may start with a byte order mark.
 
 load_table decodes each cell text once per column: one decoder per column
 reads the text, and repeated cells of the small-vocabulary kinds share one
-(immutable) value object.
+(immutable) value object.  run_query keeps the rows of the file it read last,
+so that reading it again decodes only the records that changed.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import operator
 import os
 import time
 from dataclasses import dataclass, field
@@ -47,6 +49,7 @@ class Table:
     name: str
     schema: List[AttributeDescriptor]
     rows: List[List[object]] = field(default_factory=list)
+    decoded: int = field(default=0, compare=False)  # records load_table decoded, not reused
 
     def __post_init__(self):
         self._index = {fold_name(attr.column): i for i, attr in enumerate(self.schema)}
@@ -110,21 +113,57 @@ def format_cell(value, attr: AttributeDescriptor) -> str:
     return ";".join((str(row.ft), *texts))
 
 
-def _utf8_lines(f, path):
-    """The lines of f; a byte that is not UTF-8 becomes a DataFileError naming its line."""
+def _utf8_lines(f, path, consumed: List[str]):
+    """The lines of f, also appended to consumed; a non-UTF-8 byte is an error naming its line."""
     try:
-        yield from f
+        for line in f:
+            consumed.append(line)
+            yield line
     except UnicodeDecodeError:
         raise DataFileError(f"{path}:{undecodable_line(path)}: not valid UTF-8") from None
 
 
-def load_table(path, table_name: str, catalog: Catalog) -> Table:
+@dataclass
+class RecordCache:
+    """The rows of the last table file read through it, by record text.
+
+    A record's text is the physical line or lines the CSV reader consumed for
+    it.  The rows are reused only by a read of the same path under the same
+    descriptor objects and the same header positions, which is all a row's
+    decoding depends on besides its text (labels are only ever added, and
+    that cannot change a row that decoded).
+    """
+
+    source: Optional[tuple] = None  # (path, header position of each schema column, schema)
+    rows: Dict[str, list] = field(default_factory=dict)  # record text -> decoded row
+
+    def take(self):
+        """Empty the cache; return the (source, rows) it held."""
+        held = self.source, self.rows
+        self.source, self.rows = None, {}
+        return held
+
+
+def _same_source(held, source) -> bool:
+    """Whether rows read from held serve source: same path, header positions and descriptors."""
+    return (held is not None and held[:2] == source[:2] and len(held[2]) == len(source[2])
+            and all(map(operator.is_, held[2], source[2])))
+
+
+def load_table(
+    path, table_name: str, catalog: Catalog, *, reuse: Optional[RecordCache] = None
+) -> Table:
     """Read a table's CSV file, checking it against the catalog schema.
 
     The file must name exactly the registered columns (any order, any case);
     cells come back in schema order.  Errors point at file, row, and column.
     The file is UTF-8 and may start with a byte order mark.
+
+    With reuse, only records whose text reuse does not hold are decoded, and
+    reuse then holds this file's rows (shared, so not to be changed), or
+    nothing if the read fails.
     """
+    held_source, known = reuse.take() if reuse is not None else (None, {})
     schema = catalog.table_schema(table_name)
     by_name = {fold_name(attr.column): attr for attr in schema}
     try:
@@ -132,11 +171,13 @@ def load_table(path, table_name: str, catalog: Catalog) -> Table:
     except OSError as exc:
         raise DataFileError(f"cannot open table file: {exc}") from None
     with f:
-        reader = csv.reader(_utf8_lines(f, path))
+        consumed = []  # the physical lines of the record just read
+        reader = csv.reader(_utf8_lines(f, path, consumed))
         try:
             header = next(reader)
         except StopIteration:
             raise DataFileError(f"{path}: empty table file") from None
+        consumed.clear()
         folded = [fold_name(name.strip()) for name in header]
         if sorted(folded) != sorted(by_name):
             raise DataFileError(
@@ -144,37 +185,50 @@ def load_table(path, table_name: str, catalog: Catalog) -> Table:
                 f"{[a.column for a in schema]!r}"
             )
         positions = {name: i for i, name in enumerate(folded)}
+        source = (os.fspath(path), [positions[fold_name(attr.column)] for attr in schema], schema)
+        if not _same_source(held_source, source):
+            known = {}  # the old rows go before any record is decoded
+        records = {} if reuse is not None else None
         # Per column: where its cells sit, its decoder, and the values already
         # decoded from each cell text, which repeated cells share (values are
         # frozen).
         columns = [
-            (attr, positions[fold_name(attr.column)], _cell_decoder(attr), {})
-            for attr in schema
+            (attr, src, _cell_decoder(attr), {}) for attr, src in zip(schema, source[1])
         ]
         rows = []
+        decoded = 0
         for raw in reader:
+            record = consumed[0] if len(consumed) == 1 else "".join(consumed)
+            consumed.clear()
             if not raw:
                 continue
-            if len(raw) != len(header):
-                raise DataFileError(
-                    f"{path}:{reader.line_num}: expected {len(header)} cells, found {len(raw)}"
-                )
-            cells = []
-            for attr, src, decode, seen in columns:
-                text = raw[src]
-                value = seen.get(text)
-                if value is None:
-                    try:
-                        value = decode(text)
-                    except FuzzyDbError as exc:
-                        raise DataFileError(
-                            f"{path}:{reader.line_num}: column {attr.column}: {exc}"
-                        ) from None
-                    if isinstance(value, FuzzyValue) and value.kind in _SHARED_KINDS:
-                        seen[text] = value
-                cells.append(value)
+            cells = known.get(record)
+            if cells is None:
+                if len(raw) != len(header):
+                    raise DataFileError(
+                        f"{path}:{reader.line_num}: expected {len(header)} cells, found {len(raw)}"
+                    )
+                decoded += 1
+                cells = []
+                for attr, src, decode, seen in columns:
+                    text = raw[src]
+                    value = seen.get(text)
+                    if value is None:
+                        try:
+                            value = decode(text)
+                        except FuzzyDbError as exc:
+                            raise DataFileError(
+                                f"{path}:{reader.line_num}: column {attr.column}: {exc}"
+                            ) from None
+                        if isinstance(value, FuzzyValue) and value.kind in _SHARED_KINDS:
+                            seen[text] = value
+                    cells.append(value)
+            if records is not None:
+                records[record] = cells
             rows.append(cells)
-    return Table(catalog.table_name(table_name), list(schema), rows)
+    if reuse is not None:
+        reuse.source, reuse.rows = source, records
+    return Table(catalog.table_name(table_name), list(schema), rows, decoded)
 
 
 def save_table(table: Table, path) -> None:
@@ -194,6 +248,7 @@ class ExecutionStats:
     rows_in: int = 0
     rows_out: int = 0
     load_seconds: float = 0.0  # reading the table file; 0 for a table passed in memory
+    rows_decoded: int = 0  # records of the table file decoded, not reused from the last read
 
     @property
     def total_seconds(self) -> float:
@@ -257,6 +312,10 @@ def execute(plan: CompiledPlan, table: Table) -> Result:
     return Result(plan.headers(), out_rows, stats, plan)
 
 
+# run_query's data_dir reads: one entry, so at most one table's rows are kept.
+_last_read = RecordCache()
+
+
 def run_query(
     text: str,
     catalog: Catalog,
@@ -267,7 +326,8 @@ def run_query(
     """Parse, compile, and execute FSQL text; stats carry the phase timings.
 
     The table comes from the tables mapping when given, otherwise from
-    <data_dir>/<table>.csv; only reading that file counts as load time.
+    <data_dir>/<table>.csv; only reading that file counts as load time, and
+    only records changed since the last such read are decoded (RecordCache).
     """
     t0 = time.perf_counter()
     query = parse_query(text)
@@ -281,14 +341,18 @@ def run_query(
                 table = candidate
                 break
     load_seconds = 0.0
+    rows_decoded = 0
     if table is None and data_dir is not None:
         t3 = time.perf_counter()
-        table = load_table(os.path.join(data_dir, plan.table + ".csv"), plan.table, catalog)
+        table = load_table(os.path.join(data_dir, plan.table + ".csv"), plan.table, catalog,
+                           reuse=_last_read)
         load_seconds = time.perf_counter() - t3
+        rows_decoded = table.decoded
     if table is None:
         raise DataFileError(f"no data available for table {plan.table}")
     result = execute(plan, table)
     result.stats.load_seconds = load_seconds
+    result.stats.rows_decoded = rows_decoded
     result.stats.parse_seconds = t1 - t0
     result.stats.compile_seconds = t2 - t1
     return result

@@ -1,7 +1,9 @@
 """Catalog registry, conversion-row protocol, and TSV persistence."""
 
+import copy
 import csv
 import os
+import pickle
 from unittest import mock
 
 import pytest
@@ -286,6 +288,15 @@ class TestEncodeDecode:
 
 
 class TestPersistence:
+    def test_pickle_and_deepcopy(self, case_catalog):
+        # the values inside (label trapezoids) are slotted; lookups must survive the copy
+        for again in (pickle.loads(pickle.dumps(case_catalog)), copy.deepcopy(case_catalog)):
+            assert again.attributes() == case_catalog.attributes()
+            width = again.get("pilas", "formato_largo")
+            assert width.trapezoid_for("MUY_LARGA") == Trapezoid(130, 140, 250, 250)
+            tone = again.get("cartulina", "tono_cara")
+            assert tone.similarity.get("blanco", "BLANCO") == 1.0
+
     def test_round_trip(self, small_catalog, tmp_path):
         save_catalog(small_catalog, tmp_path)
         loaded = load_catalog(tmp_path)

@@ -92,6 +92,11 @@ class TestQueryCommand:
         match = re.match(r"load (\d+\.\d\d)ms  parse ", capsys.readouterr().err)
         assert match and float(match.group(1)) > 0
 
+    def test_stats_count_decoded_rows_last(self, capsys):
+        assert main(["query", FLAGSHIP, "--stats"]) == 0
+        match = re.search(r"  rows 14 -> 3  decoded (\d+)\n\Z", capsys.readouterr().err)
+        assert match and int(match.group(1)) == 14  # each call loads its catalog, so nothing is reused
+
     def test_default_threshold_flag(self, capsys):
         sql = "SELECT cod_carti FROM cartulina WHERE tono_cara FEQ $blanco"
         assert main(["query", sql, "--thold", "0.5", "--format", "csv"]) == 0

@@ -1,5 +1,9 @@
 """Fuzzy value model: membership, possibility of equality, similarity."""
 
+import copy
+import math
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -44,14 +48,39 @@ class TestDegree:
 class TestFormatNumber:
     @pytest.mark.parametrize(
         "value,text",
-        [(444.0, "444"), (0.5, "0.5"), (-5.0, "-5"), (0.9, "0.9"), (26.0, "26")],
+        [(444.0, "444"), (0.5, "0.5"), (-5.0, "-5"), (0.9, "0.9"), (26.0, "26"), (0.0, "0"),
+         (-0.0, "-0.0")],
     )
     def test_trims_integral(self, value, text):
         assert format_number(value) == text
 
     @given(st.floats(allow_nan=False, allow_infinity=False, width=64))
     def test_round_trips(self, x):
-        assert float(format_number(x)) == x
+        back = float(format_number(x))
+        assert back == x and math.copysign(1.0, back) == math.copysign(1.0, x)
+
+
+class TestSlottedValues:
+    """Values are frozen and slotted; they must still pickle, copy, compare and hash."""
+
+    VALUES = [
+        FuzzyValue.unknown(), FuzzyValue.null(), FuzzyValue.crisp(-0.0), FuzzyValue.label("alto"),
+        FuzzyValue.interval(1, 2), FuzzyValue.approx(3, 0.5), FuzzyValue.trapezoid(1, 2, 3, 4),
+        FuzzyValue.simple(0.5, "rojo"), FuzzyValue.poss_dist([(0.4, 1.5), (1, 2.5)]),
+    ]
+
+    @pytest.mark.parametrize("value", VALUES + [Trapezoid(-1, 0, 0, 2)])
+    def test_pickle_copy_equality_and_hash(self, value):
+        for again in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value), copy.copy(value)):
+            assert type(again) is type(value)
+            assert again == value and hash(again) == hash(value)
+            assert repr(again) == repr(value)  # every field, sign of zero included
+
+    @pytest.mark.parametrize("value", [FuzzyValue.crisp(1), Trapezoid(1, 2, 3, 4)])
+    def test_no_attributes_beyond_the_fields(self, value):
+        assert not hasattr(value, "__dict__")
+        with pytest.raises((AttributeError, TypeError)):
+            object.__setattr__(value, "extra", 1)
 
 
 class TestTrapezoid:

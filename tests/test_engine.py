@@ -230,6 +230,23 @@ class TestCellCodec:
             parse_cell(text, attr)
         assert str(from_row.value) == f"{attr.qualified}: {from_cell.value}"
 
+    def test_negative_zero_survives_a_save_and_load(self, tmp_path, case_catalog):
+        values = [FuzzyValue.crisp(-0.0), FuzzyValue.interval(-0.0, 1), FuzzyValue.approx(-0.0, 2),
+                  FuzzyValue.trapezoid(-0.0, 0, 1, 2)]
+        schema = case_catalog.table_schema("personas")
+        table = Table("personas", schema, [["n", value, FuzzyValue.null()] for value in values])
+        save_table(table, tmp_path / "personas.csv")
+        assert "3;-0.0;;;" in (tmp_path / "personas.csv").read_text()
+        loaded = load_table(tmp_path / "personas.csv", "personas", case_catalog)
+        assert repr(loaded.rows) == repr(table.rows)
+        plain = case_catalog.get("pilas", "cod_pila")
+        assert repr(parse_cell(format_cell(-0.0, plain), plain)) == "-0.0"
+        # degrees carry no sign: they render as 0, 1 or a fraction
+        for operand, degree in (("0", "1"), ("50", "0")):
+            sql = f"SELECT nombre, CDEG(edad) FROM personas WHERE edad FEQ {operand} THOLD 0"
+            text = format_result(run_query(sql, case_catalog, data_dir=str(tmp_path)), "csv")
+            assert text.splitlines()[1:] == [f"n,{degree}"] * 4
+
     def test_trapezoid_with_overflowing_edge_is_not_stored(self, width_attr):
         value = FuzzyValue.trapezoid(-1e308, 1e308, 1e308, 1e308)
         for store in (format_cell, encode_value):
@@ -252,8 +269,12 @@ def _approx_fits(center, margin):
 
 
 def _offsets_exact(a, b, c, d):
-    """The code 7 row stores (a, b-a, c-d, d); this says it decodes back to b and c."""
-    return math.isfinite(b - a) and math.isfinite(c - d) and a + (b - a) == b and d + (c - d) == c
+    """The code 7 row stores (a, b-a, c-d, d); this says it decodes back to b and c.
+
+    repr compares the sign of zero too: -0.0 + 0.0 is 0.0, so b = a = -0.0 comes back as 0.0.
+    """
+    return (math.isfinite(b - a) and math.isfinite(c - d)
+            and repr(a + (b - a)) == repr(b) and repr(d + (c - d)) == repr(c))
 
 
 def ordered_values(labels):
@@ -304,9 +325,9 @@ class TestCellRoundTrip:
     @staticmethod
     def check(value, attr):
         parsed = parse_cell(format_cell(value, attr), attr)
-        assert parsed == value
+        assert repr(parsed) == repr(value)  # every field, sign of zero included
         # the conversion-row codec is the oracle for the cell decoder
-        assert parsed == decode_row(encode_value(value, attr), attr)
+        assert repr(parsed) == repr(decode_row(encode_value(value, attr), attr))
 
 
 # Cell texts for personas, with repeats, spelling variants and whitespace.
@@ -524,6 +545,152 @@ class TestRunQuery:
     def test_no_data_source(self, case_catalog):
         with pytest.raises(DataFileError):
             run_query("SELECT cod_rollo FROM rollos", case_catalog, tables={})
+
+
+# Every persona with its degrees; THOLD 0 keeps every row.
+EVERYONE = "SELECT nombre, edad, pelo, CDEG(edad), CDEG(pelo) FROM personas " \
+           "WHERE edad FEQ 30 THOLD 0 AND pelo FEQ $rubio THOLD 0"
+
+
+def _person_lines(n, start=0):
+    return [f"P{i},3;{i % 90};;;,3;0.{i % 9 + 1};rubio\n" for i in range(start, start + n)]
+
+
+class TestReloadReuse:
+    """run_query(data_dir=...) reuses the rows of unchanged records of the file it read last."""
+
+    @staticmethod
+    def write(directory, lines, header="nombre,edad,pelo\n", prefix=""):
+        with open(os.path.join(directory, "personas.csv"), "w", encoding="utf-8", newline="") as f:
+            f.write(prefix + header + "".join(lines))
+
+    @staticmethod
+    def query(directory, catalog):
+        return run_query(EVERYONE, catalog, data_dir=str(directory))
+
+    @staticmethod
+    def cold(directory, catalog):
+        table = load_table(os.path.join(directory, "personas.csv"), "personas", catalog)
+        return run_query(EVERYONE, catalog, tables={"personas": table})
+
+    def test_rewrite_with_the_same_mtime_is_seen(self, tmp_path, case_catalog):
+        path = tmp_path / "personas.csv"
+        self.write(tmp_path, _person_lines(4))
+        before = os.stat(path)
+        assert self.query(tmp_path, case_catalog).stats.rows_decoded == 4
+        self.write(tmp_path, _person_lines(4, start=10))
+        os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+        assert os.stat(path).st_mtime_ns == before.st_mtime_ns
+        result = self.query(tmp_path, case_catalog)
+        assert [row[0] for row in result.rows] == ["P10", "P11", "P12", "P13"]
+        assert result.stats.rows_decoded == 4
+
+    def test_batch_update_decodes_only_changed_records(self, tmp_path, case_catalog):
+        lines = _person_lines(200)
+        self.write(tmp_path, lines)
+        first = self.query(tmp_path, case_catalog)
+        assert first.stats.rows_decoded == 200
+        again = self.query(tmp_path, case_catalog)
+        assert again.stats.rows_decoded == 0 and again.rows == first.rows
+        changed = range(3, 200, 20)  # 10 records, 5%
+        for i in changed:
+            lines[i] = f"P{i},5;{i % 90};;;{i % 90 + 2},3;1;moreno\n"
+        self.write(tmp_path, lines)
+        result = self.query(tmp_path, case_catalog)
+        assert result.stats.rows_decoded == len(changed)
+        assert result.rows == self.cold(tmp_path, case_catalog).rows
+        assert load_table(tmp_path / "personas.csv", "personas", case_catalog).decoded == 200
+
+    def test_permuted_header_is_not_served_from_the_old_rows(self, tmp_path, case_catalog):
+        lines = ["2,0,1\n", "1,2,0\n"]  # valid under either header
+        self.write(tmp_path, lines)
+        self.query(tmp_path, case_catalog)
+        self.write(tmp_path, lines, header="edad,nombre,pelo\n")
+        result = self.query(tmp_path, case_catalog)
+        assert result.stats.rows_decoded == 2
+        assert [row[0] for row in result.rows] == ["0", "2"]
+        assert result.rows == self.cold(tmp_path, case_catalog).rows
+
+    def test_bad_cell_in_a_warm_file_fails_as_in_a_cold_one(self, tmp_path, case_catalog):
+        lines = _person_lines(6)
+        self.write(tmp_path, lines)
+        self.query(tmp_path, case_catalog)
+        lines[3] = "P3,3;bad;;;,0\n"
+        self.write(tmp_path, lines)
+        with pytest.raises(DataFileError) as warm:
+            self.query(tmp_path, case_catalog)
+        with pytest.raises(DataFileError) as cold:
+            load_table(tmp_path / "personas.csv", "personas", case_catalog)
+        assert str(warm.value) == str(cold.value)
+        assert str(warm.value).startswith(f"{tmp_path / 'personas.csv'}:5: column edad: ")
+        lines[3] = "P3,0,0\n"
+        self.write(tmp_path, lines)
+        assert self.query(tmp_path, case_catalog).stats.rows_decoded == 6
+
+    def test_other_catalog_or_column_misses(self, tmp_path, case_dir, case_catalog):
+        self.write(tmp_path, _person_lines(5))
+        self.query(tmp_path, case_catalog)
+        assert self.query(tmp_path, case_catalog).stats.rows_decoded == 0
+        assert self.query(tmp_path, load_catalog(case_dir)).stats.rows_decoded == 5
+        case_catalog.register_attribute("personas", "nota", 1, "scalar")
+        self.write(tmp_path, [line.rstrip("\n") + ",x\n" for line in _person_lines(5)],
+                   header="nombre,edad,pelo,nota\n")
+        assert self.query(tmp_path, case_catalog).stats.rows_decoded == 5
+
+    def test_quoted_lines_blank_lines_and_bom(self, tmp_path, case_catalog):
+        lines = ['"Ana\nMaria",3;26;;;,0\n', "\n", "Luis,0,0\n", "\n", '"x,""y""",0,2\n']
+        self.write(tmp_path, lines, prefix="\ufeff")
+        first = self.query(tmp_path, case_catalog)
+        assert [row[0] for row in first.rows] == ["Ana\nMaria", "Luis", 'x,"y"']
+        again = self.query(tmp_path, case_catalog)
+        assert again.stats.rows_decoded == 0 and again.rows == first.rows
+        lines[0] = '"Ana\nMaria",3;27;;;,0\n'
+        self.write(tmp_path, lines, prefix="\ufeff")
+        result = self.query(tmp_path, case_catalog)
+        assert result.stats.rows_decoded == 1
+        assert result.rows == self.cold(tmp_path, case_catalog).rows
+
+    def test_tables_mapping_decodes_nothing(self, case_catalog, case_tables):
+        assert run_query(FLAGSHIP, case_catalog, tables=case_tables).stats.rows_decoded == 0
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_warm_reads_equal_cold_reads(self, shared_catalog, tmp_path_factory, data):
+        directory = tmp_path_factory.mktemp("reuse")
+        cells = list(zip(NOMBRE_CELLS * 2, EDAD_CELLS, PELO_CELLS * 3)) + [('"Ana\nLuis"', "4;maduro;;;", "2")]
+        headers = ["nombre,edad,pelo\n", "pelo,nombre,edad\n"]
+        # lines for each header, plus lines of specials that read differently under each
+        either = ["2,0,1\n", "1,2,0\n", "\n"]
+        pools = {headers[0]: [",".join(c) + "\n" for c in cells] + either,
+                 headers[1]: [f"{p},{n},{e}\n" for n, e, p in cells] + either}
+        header = headers[0]
+        lines = data.draw(st.lists(st.sampled_from(pools[header]), max_size=8))
+        for _ in range(data.draw(st.integers(1, 8))):
+            op = data.draw(st.sampled_from(["edit", "insert", "delete", "reorder", "duplicate", "header"]))
+            i = data.draw(st.integers(0, max(len(lines) - 1, 0)))
+            if op == "insert" or not lines:
+                lines.insert(i, data.draw(st.sampled_from(pools[header])))
+            elif op == "edit":
+                lines[i] = data.draw(st.sampled_from(pools[header]))
+            elif op == "delete":
+                del lines[i]
+            elif op == "reorder":
+                lines = data.draw(st.permutations(lines))
+            elif op == "duplicate":
+                lines.insert(i, lines[i])
+            else:  # the same lines under the other header
+                header = headers[1 - headers.index(header)]
+            self.write(directory, lines, header)
+            assert self.outcome(self.query, directory, shared_catalog) == \
+                self.outcome(self.cold, directory, shared_catalog)
+
+    @staticmethod
+    def outcome(read, directory, catalog):
+        try:
+            result = read(directory, catalog)
+        except DataFileError as exc:
+            return str(exc)
+        return result.headers, result.rows
 
 
 class TestRendering:
