@@ -20,6 +20,7 @@ import operator
 import os
 import time
 from dataclasses import dataclass, field
+from itertools import compress
 from typing import Callable, Dict, List, Optional
 
 from .catalog import (
@@ -31,7 +32,7 @@ from .catalog import (
     encode_value,
     parse_number,
 )
-from .core import FuzzyValue, ValueKind, feq, fold_name, format_number
+from .core import FuzzyValue, ValueKind, feq, fold_name, format_number, plain_number
 from .errors import DataFileError, FuzzyDbError, undecodable_line
 from .fsql.compiler import (
     CompiledCondition,
@@ -263,50 +264,62 @@ class Result:
     plan: Optional[CompiledPlan] = None
 
 
-def _condition_degree(cond: CompiledCondition, cell) -> float:
-    value = cell if isinstance(cell, FuzzyValue) else FuzzyValue.crisp(cell)
-    return feq(value, cond.operand, cond.attr)
+def _condition_degrees(cond: CompiledCondition, column: List[object]) -> List[float]:
+    """feq of cond on each cell of column, computed once per distinct cell.
+
+    Fuzzy cells are told apart by object (values are frozen, and load_table
+    shares repeated ones), plain numbers by value.
+    """
+    if cond.attr.ftype is FuzzyType.PRECISE:
+        keys = column
+        distinct = {cell: cell for cell in dict.fromkeys(column)}  # the first of equal numbers
+    else:
+        keys = list(map(id, column))
+        distinct = dict(zip(keys, column))
+    degree = {key: feq(cell if isinstance(cell, FuzzyValue) else FuzzyValue.crisp(cell),
+                       cond.operand, cond.attr) for key, cell in distinct.items()}
+    return list(map(degree.__getitem__, keys))
 
 
-def _satisfied(node, degrees: List[float]) -> bool:
+def _passes(node, degrees: List[List[float]]) -> List[bool]:
+    """Whether each row satisfies the filter node, given every condition's degrees."""
     if isinstance(node, CompiledCondition):
-        return degrees[node.index] >= node.threshold
-    if isinstance(node, And):
-        return all(_satisfied(child, degrees) for child in node.children)
-    return any(_satisfied(child, degrees) for child in node.children)
+        threshold = node.threshold
+        return [d >= threshold for d in degrees[node.index]]
+    children = [_passes(child, degrees) for child in node.children]
+    return list(map(all if isinstance(node, And) else any, zip(*children)))
 
 
 def execute(plan: CompiledPlan, table: Table) -> Result:
     """Run a compiled plan over a loaded table.
 
-    Every condition degree is computed for every row (one comparison per
-    condition, no short-circuiting) so degree columns are complete even when
-    another branch already decided the row.  Row order is preserved.
+    Execution goes a column at a time: each condition's degrees come from its
+    column, with feq called once per distinct cell, so the saving grows with
+    the repeated values that load_table shares.  The filter tree combines
+    those degree lists; every kept row carries every condition's degree, even
+    when another branch already decided it.  Row order is preserved.
     """
     start = time.perf_counter()
-    cond_slots = [table.column_index(cond.attr.column) for cond in plan.conditions]
-    out_slots = [
-        table.column_index(col.attr.column) if isinstance(col, PhysicalColumn) else None
-        for col in plan.outputs
-    ]
-    out_rows = []
-    for row in table.rows:
-        degrees = [
-            _condition_degree(cond, row[slot])
-            for cond, slot in zip(plan.conditions, cond_slots)
-        ]
-        if plan.tree is not None and not _satisfied(plan.tree, degrees):
-            continue
-        out = []
-        for col, slot in zip(plan.outputs, out_slots):
-            if slot is not None:
-                out.append(row[slot])
-            else:
-                out.append(min(degrees[i] for i in col.indexes))
-        out_rows.append(out)
+    rows = table.rows
+
+    def cells(attr: AttributeDescriptor, of_rows) -> List[object]:
+        return list(map(operator.itemgetter(table.column_index(attr.column)), of_rows))
+
+    degrees = [_condition_degrees(cond, cells(cond.attr, rows)) for cond in plan.conditions]
+    keep = None if plan.tree is None else _passes(plan.tree, degrees)
+    kept = rows if keep is None else list(compress(rows, keep))
+    columns = []
+    for col in plan.outputs:
+        if isinstance(col, PhysicalColumn):
+            columns.append(cells(col.attr, kept))
+        else:
+            lists = [degrees[i] if keep is None else list(compress(degrees[i], keep))
+                     for i in col.indexes]
+            columns.append(lists[0] if len(lists) == 1 else list(map(min, *lists)))
+    out_rows = list(map(list, zip(*columns)))
     stats = ExecutionStats(
         execute_seconds=time.perf_counter() - start,
-        rows_in=len(table.rows),
+        rows_in=len(rows),
         rows_out=len(out_rows),
     )
     return Result(plan.headers(), out_rows, stats, plan)
@@ -429,8 +442,8 @@ def format_result(result: Result, fmt: str = "table", locale: str = "dot") -> st
             for header, cell in zip(result.headers, row):
                 if isinstance(cell, FuzzyValue):
                     record[header] = render_value(cell)
-                elif isinstance(cell, float) and cell == int(cell):
-                    record[header] = int(cell)
+                elif isinstance(cell, float):
+                    record[header] = plain_number(cell)  # the number the other formats print
                 else:
                     record[header] = cell
             lines.append(json.dumps(record, ensure_ascii=False))

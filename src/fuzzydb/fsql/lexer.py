@@ -44,12 +44,17 @@ def _is_ident_char(c: str) -> bool:
     return c.isalnum() or c == "_"
 
 
+def _is_digit(c: str) -> bool:
+    # str.isdigit also takes '²' and '٣', which float() rejects or reads as 3
+    return "0" <= c <= "9"
+
+
 def tokenize(source: str) -> List[Token]:
     """Split source into tokens, ending with an EOF marker.
 
     Keywords are case-insensitive and come back with their canonical upper
-    case spelling as the token kind. Numbers are unsigned decimals; labels
-    are '$' immediately followed by an identifier.
+    case spelling as the token kind. Numbers are unsigned decimals written
+    in ASCII digits; labels are '$' immediately followed by an identifier.
     """
     tokens = []
     i = 0
@@ -79,13 +84,13 @@ def tokenize(source: str) -> List[Token]:
             column += j - i
             i = j
             continue
-        if c.isdigit():
+        if _is_digit(c):
             j = i + 1
-            while j < n and source[j].isdigit():
+            while j < n and _is_digit(source[j]):
                 j += 1
-            if j < n - 1 and source[j] == "." and source[j + 1].isdigit():
+            if j < n - 1 and source[j] == "." and _is_digit(source[j + 1]):
                 j += 2
-                while j < n and source[j].isdigit():
+                while j < n and _is_digit(source[j]):
                     j += 1
             text = source[i:j]
             value = float(text)

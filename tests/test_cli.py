@@ -81,6 +81,13 @@ class TestQueryCommand:
         assert main(["query", sql]) == 1
         assert "too large at 1:44" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("operand", ["\u00b2", "\u0663\u0660"])
+    def test_non_ascii_digit_exits_1(self, capsys, operand):
+        sql = f"SELECT cartulina.% FROM cartulina WHERE cod_capa FEQ {operand} THOLD 0.5;"
+        assert main(["query", sql]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: unexpected character {operand[0]!r} at 1:54\n"
+
     def test_stats_go_to_stderr(self, capsys):
         assert main(["query", FLAGSHIP, "--stats"]) == 0
         captured = capsys.readouterr()

@@ -1,26 +1,32 @@
 """Table files, execution semantics, and result rendering."""
 
+import copy
 import csv
 import math
 import os
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import fuzzydb.engine
 from fuzzydb import (
+    Catalog,
     ConversionError,
     ConversionRow,
     DataFileError,
+    ExecutionStats,
     FuzzyDbError,
     FuzzyValue,
+    Result,
     Table,
     case_study_dir,
     compile_query,
     decode_row,
     encode_value,
     execute,
+    feq,
     format_cell,
+    format_number,
     format_result,
     load_catalog,
     load_table,
@@ -29,6 +35,8 @@ from fuzzydb import (
     run_query,
     save_table,
 )
+from fuzzydb.fsql.compiler import CompiledCondition, PhysicalColumn
+from fuzzydb.fsql.parser import And
 
 FLAGSHIP = (
     "SELECT cartulina.% FROM cartulina WHERE tono_cara FEQ $blanco THOLD 0.5 "
@@ -482,23 +490,30 @@ class TestExecute:
         result = execute(plan, case_tables["pilas"])
         assert [row[0] for row in result.rows] == [3.0, 5.0, 7.0]
 
-    def test_every_degree_is_computed(self, case_catalog, case_tables, monkeypatch):
-        calls = []
-        real = fuzzydb.engine.feq
-
-        def counting(v1, v2, attr):
-            calls.append(attr.column)
-            return real(v1, v2, attr)
-
-        monkeypatch.setattr(fuzzydb.engine, "feq", counting)
+    def test_every_degree_is_computed(self, case_catalog, case_tables):
+        table = case_tables["cartulina"]
         plan = compile_query(
-            "SELECT cod_carti FROM cartulina WHERE tono_cara FEQ $blanco THOLD 0.99 "
-            "OR tono_reverso FEQ $blanco THOLD 0.99 OR tono_cara FEQ $cafe THOLD 0.99",
+            "SELECT cartulina.%, CDEG(tono_cara), CDEG(tono_reverso) FROM cartulina "
+            "WHERE tono_cara FEQ $blanco THOLD 0.99 OR tono_reverso FEQ $blanco THOLD 0.99 "
+            "OR tono_cara FEQ $cafe THOLD 0.99",
             case_catalog,
         )
-        execute(plan, case_tables["cartulina"])
-        # one comparison per condition per row, even when a branch decides early
-        assert len(calls) == 3 * 14
+        result = execute(plan, table)
+        assert result.headers[-5:] == ["CDEG(tono_cara)", "CDEG(tono_reverso)", "CDEG(tono_cara)",
+                                       "CDEG(tono_cara)", "CDEG(tono_reverso)"]
+        expected = []
+        decided_early = 0
+        for row in table.rows:
+            d = [feq(row[table.column_index(c.attr.column)], c.operand, c.attr)
+                 for c in plan.conditions]
+            if any(x >= 0.99 for x in d):
+                # % adds one CDEG per condition; CDEG(tono_cara) is the min of conditions 1 and 3
+                expected.append([*row, d[0], d[1], d[2], min(d[0], d[2]), d[1]])
+                decided_early += d[0] >= 0.99 and min(d[1], d[2]) < 0.99
+        assert result.rows == expected
+        assert repr(result.rows) == repr(expected)  # bit for bit
+        # rows the first branch kept still report the later conditions' lower degrees
+        assert decided_early >= 2
 
     def test_cdeg_combines_with_min(self, case_catalog, case_tables):
         plan = compile_query(
@@ -518,6 +533,120 @@ class TestExecute:
         )
         result = execute(plan, case_tables["pilas"])
         assert [row[0] for row in result.rows] == [3.0]
+
+
+def oracle_execute(plan, table):
+    """Row at a time: feq per row and condition, then a recursive walk of the filter tree."""
+
+    def satisfied(node, degrees):
+        if isinstance(node, CompiledCondition):
+            return degrees[node.index] >= node.threshold
+        test = all if isinstance(node, And) else any
+        return test(satisfied(child, degrees) for child in node.children)
+
+    out = []
+    for row in table.rows:
+        degrees = []
+        for cond in plan.conditions:
+            cell = row[table.column_index(cond.attr.column)]
+            value = cell if isinstance(cell, FuzzyValue) else FuzzyValue.crisp(cell)
+            degrees.append(feq(value, cond.operand, cond.attr))
+        if plan.tree is None or satisfied(plan.tree, degrees):
+            out.append([
+                row[table.column_index(col.attr.column)] if isinstance(col, PhysicalColumn)
+                else min(degrees[i] for i in col.indexes)
+                for col in plan.outputs
+            ])
+    return out
+
+
+@pytest.fixture(scope="module")
+def lots_catalog():
+    """One table with a plain numeric, an ordered fuzzy and a scalar fuzzy column."""
+    cat = Catalog()
+    cat.register_attribute("lots", "code", 1, "numeric")
+    cat.register_attribute("lots", "width", 2, "numeric")
+    cat.register_attribute("lots", "finish", 3, "scalar")
+    cat.define_label("lots", "code", "zero", (-10, 0, 0, 10))
+    for name, corners in (("zero", (-10, 0, 0, 10)), ("narrow", (0, 0, 30, 40)),
+                          ("wide", (30, 40, 80, 90))):
+        cat.define_label("lots", "width", name, corners)
+    for name in ("matte", "satin", "gloss"):
+        cat.define_label("lots", "finish", name)
+    cat.set_similarity("lots", "finish", "satin", "gloss", 0.7)
+    cat.set_similarity("lots", "finish", "matte", "satin", 0.2)
+    return cat
+
+
+PLAIN_NUMBERS = st.one_of(
+    st.sampled_from([0, -0.0, 0.0, 30, 30.0, 35.5]),
+    st.integers(-50, 150),
+    st.floats(-50, 150),
+)
+THRESHOLDS = st.one_of(st.sampled_from([0, 1]), st.integers(0, 100).map(lambda k: k / 100))
+CONDITIONS = {
+    "code": st.sampled_from(["$zero", "0", "30", "35.5", "90"]),
+    "width": st.sampled_from(["$zero", "$narrow", "$wide", "0", "30", "35.5", "90"]),
+    "finish": st.sampled_from(["$matte", "$satin", "$gloss"]),
+}
+
+
+def conditions():
+    leaf = st.sampled_from(sorted(CONDITIONS)).flatmap(
+        lambda column: st.tuples(st.just(column), CONDITIONS[column], THRESHOLDS)
+    ).map(lambda c: f"{c[0]} FEQ {c[1]} THOLD {format_number(c[2])}")
+    return st.recursive(
+        leaf,
+        lambda children: st.tuples(st.sampled_from([" AND ", " OR "]),
+                                   st.lists(children, min_size=2, max_size=3))
+        .map(lambda t: "(" + t[0].join(t[1]) + ")"),
+        max_leaves=6,
+    )
+
+
+class TestExecuteOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_matches_row_at_a_time(self, lots_catalog, data):
+        schema = lots_catalog.table_schema("lots")
+        widths = ordered_values(["zero", "narrow", "wide"])
+        finishes = scalar_values(["matte", "satin", "gloss"])
+        # a small pool of value objects that rows share, as load_table shares them
+        pool = data.draw(st.tuples(st.lists(widths, min_size=1, max_size=4),
+                                   st.lists(finishes, min_size=1, max_size=4)))
+
+        def cell(column):
+            # a pooled object, an equal copy held apart from it, or a value of its own
+            return st.one_of(st.sampled_from(pool[column]),
+                             st.sampled_from(pool[column]).map(copy.copy),
+                             (widths, finishes)[column])
+
+        rows = data.draw(st.lists(st.tuples(PLAIN_NUMBERS, cell(0), cell(1)).map(list),
+                                  max_size=30))
+        table = Table("lots", schema, rows)
+        where = data.draw(st.none() | conditions())
+        columns = {c for c in CONDITIONS if where is not None and f"{c} FEQ" in where}
+        items = data.draw(st.lists(
+            st.sampled_from(["lots.%", "code", "width", "finish"]
+                            + [f"CDEG({c})" for c in sorted(columns)]),
+            min_size=1, max_size=5,
+        ))
+        sql = f"SELECT {', '.join(items)} FROM lots" + (f" WHERE {where}" if where else "")
+        plan = compile_query(sql, lots_catalog)
+        result = execute(plan, table)
+        expected = oracle_execute(plan, table)
+        assert result.rows == expected
+        assert repr(result.rows) == repr(expected)  # every degree bit for bit, sign of zero too
+        assert (result.stats.rows_in, result.stats.rows_out) == (len(rows), len(expected))
+
+    def test_first_error_is_the_same_fuzzydb_error(self, lots_catalog):
+        schema = lots_catalog.table_schema("lots")
+        table = Table("lots", schema, [[1, FuzzyValue.simple(1, "satin"), FuzzyValue.null()]])
+        plan = compile_query("SELECT code FROM lots WHERE width FEQ $wide", lots_catalog)
+        with pytest.raises(FuzzyDbError) as err:
+            oracle_execute(plan, table)
+        with pytest.raises(FuzzyDbError, match=f"^{re.escape(str(err.value))}$"):
+            execute(plan, table)
 
 
 class TestRunQuery:
@@ -743,6 +872,17 @@ class TestRendering:
         assert first["cod_carti"] == 444
         assert first["tono_reverso"] == "UNKNOWN"
         assert first["CDEG(tono_cara)"] == 0.5
+
+    def test_jsonl_numbers_match_the_other_formats(self):
+        cells = [1e300, -0.0, 0.0, 3.0, 0.5, 1e16, 123456789012345.0, 7, "x"]
+        result = Result([f"c{i}" for i in range(len(cells))], [cells], ExecutionStats(rows_out=1))
+        assert format_result(result, "csv").splitlines()[1] == (
+            "1e+300,-0.0,0,3,0.5,1e+16,123456789012345,7,x"
+        )
+        assert format_result(result, "jsonl") == (
+            '{"c0": 1e+300, "c1": -0.0, "c2": 0, "c3": 3, "c4": 0.5, "c5": 1e+16, '
+            '"c6": 123456789012345, "c7": 7, "c8": "x"}'
+        )
 
     def test_unknown_format(self, case_catalog, case_tables):
         result = run_query(FLAGSHIP, case_catalog, tables=case_tables)

@@ -54,6 +54,17 @@ class TestLexer:
         assert "too large" in str(err.value)
         assert "1:7" in str(err.value)
 
+    @pytest.mark.parametrize("text, column", [
+        ("x FEQ \u00b2", 7),  # superscript two
+        ("x FEQ \u0663\u0660", 7),  # Arabic-Indic thirty
+        ("x FEQ 3\u0660", 8),
+        ("x FEQ 1.\u0663", 9),
+    ])
+    def test_numbers_take_ascii_digits_only(self, text, column):
+        with pytest.raises(FsqlSyntaxError) as err:
+            tokenize(text)
+        assert f"unexpected character {text[column - 1]!r} at 1:{column}" in str(err.value)
+
     def test_label_token_drops_sigil(self):
         token = tokenize("$blanco")[0]
         assert (token.kind, token.text) == ("LABEL", "blanco")
