@@ -366,7 +366,7 @@ def _decode_ordered(attr: AttributeDescriptor, text: str) -> FuzzyValue:
     return FuzzyValue.trapezoid(a, a + parse_number(second), d + parse_number(third), d)
 
 
-def _decode_scalar(attr: AttributeDescriptor, text: str) -> FuzzyValue:
+def _decode_scalar(attr: AttributeDescriptor, shared: dict, text: str) -> FuzzyValue:
     ft, fields = _split(text)
     if ft < 3:
         return FuzzyValue(_SPECIAL_KINDS[ft])
@@ -379,17 +379,20 @@ def _decode_scalar(attr: AttributeDescriptor, text: str) -> FuzzyValue:
         raise ConversionError(f"code {ft} cells hold {want}, got {len(fields)} fields")
     pairs = []
     for i in range(0, len(fields), 2):
-        degree = parse_number(fields[i])
-        element = fields[i + 1]
-        # a name is never a number, so float() runs only on the other texts
-        if not _is_name(element):
-            element = _finite(element)
-            if element is None:
-                raise ConversionError(f"element {fields[i + 1]!r} is neither a name nor a finite number")
-        pairs.append((degree, element))
-    if ft == 3:
-        return FuzzyValue.simple(*pairs[0])
-    return FuzzyValue.poss_dist(pairs)
+        key = (fields[i], fields[i + 1])
+        pair = shared.get(key)
+        if pair is None:
+            degree = parse_number(fields[i])
+            element = fields[i + 1]
+            # a name is never a number, so float() runs only on the other texts
+            if not _is_name(element):
+                element = _finite(element)
+                if element is None:
+                    raise ConversionError(
+                        f"element {fields[i + 1]!r} is neither a name nor a finite number")
+            pair = shared[key] = (degree, element)
+        pairs.append(pair)
+    return FuzzyValue(ValueKind.SIMPLE if ft == 3 else ValueKind.POSS_DIST, pairs=tuple(pairs))
 
 
 def cell_decoder(attr: AttributeDescriptor) -> Callable[[str], FuzzyValue]:
@@ -397,12 +400,14 @@ def cell_decoder(attr: AttributeDescriptor) -> Callable[[str], FuzzyValue]:
 
     It raises a FuzzyDbError for every malformed cell.  Scalar elements may be
     any name or finite number; whether they belong to the column's domain is
-    the caller's question.
+    the caller's question.  A scalar decoder gives cells one (degree, element)
+    tuple per distinct pair of field texts it has read (values are frozen), so
+    repeated pairs share one object among the values of one decoder.
     """
     if attr.ftype is FuzzyType.FUZZY_ORDERED:
         return functools.partial(_decode_ordered, attr)
     if attr.ftype is FuzzyType.FUZZY_SCALAR:
-        return functools.partial(_decode_scalar, attr)
+        return functools.partial(_decode_scalar, attr, {})
     raise ConversionError(f"column {attr.qualified} stores plain values, not conversion rows")
 
 

@@ -35,11 +35,16 @@ def check_degree(value: float, what: str = "degree") -> float:
 def format_number(x: float) -> str:
     """Shortest decimal text that parses back to the same float; integers lose the '.0'.
 
-    Zero keeps its sign: -0.0 is written '-0.0', not '0'.
+    Zero keeps its sign: -0.0 is written '-0.0', not '0'.  inf and nan raise
+    a FuzzyValueError.
     """
     x = float(x)
-    if x == int(x) and abs(x) < 1e16 and (x or math.copysign(1.0, x) > 0):
-        return str(int(x))
+    try:
+        whole = int(x)
+    except (OverflowError, ValueError):
+        raise FuzzyValueError(f"expected a finite number, got {x!r}") from None
+    if x == whole and abs(x) < 1e16 and (x or math.copysign(1.0, x) > 0):
+        return str(whole)
     return repr(x)
 
 
@@ -50,8 +55,12 @@ def plain_number(x: float):
     text formats; the tests check that repr(plain_number(x)) == format_number(x).
     """
     x = float(x)
-    if x == int(x) and abs(x) < 1e16 and (x or math.copysign(1.0, x) > 0):
-        return int(x)
+    try:
+        whole = int(x)
+    except (OverflowError, ValueError):
+        raise FuzzyValueError(f"expected a finite number, got {x!r}") from None
+    if x == whole and abs(x) < 1e16 and (x or math.copysign(1.0, x) > 0):
+        return whole
     return x
 
 

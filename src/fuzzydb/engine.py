@@ -6,9 +6,11 @@ the conversion-row protocol, which catalog.py describes and decodes.  Files
 are UTF-8 and may start with a byte order mark.
 
 load_table decodes each cell text once per column: one decoder per column
-reads the text, and repeated cells of the small-vocabulary kinds share one
-(immutable) value object.  run_query keeps the rows of the file it read last,
-so that reading it again decodes only the records that changed.
+reads the text, repeated plain cells and cells of the small-vocabulary kinds
+share one (immutable) value object, and repeated scalar pairs share one tuple.
+run_query keeps the rows of every table file it read under the current
+catalog and data dir, so that reading one again decodes only the records that
+changed.
 """
 
 from __future__ import annotations
@@ -126,13 +128,14 @@ def _utf8_lines(f, path, consumed: List[str]):
 
 @dataclass
 class RecordCache:
-    """The rows of the last table file read through it, by record text.
+    """The rows of the table file read last through it, by record text.
 
     A record's text is the physical line or lines the CSV reader consumed for
     it.  The rows are reused only by a read of the same path under the same
     descriptor objects and the same header positions, which is all a row's
     decoding depends on besides its text (labels are only ever added, and
-    that cannot change a row that decoded).
+    that cannot change a row that decoded).  run_query keeps one per table
+    (_last_read).
     """
 
     source: Optional[tuple] = None  # (path, header position of each schema column, schema)
@@ -192,7 +195,7 @@ def load_table(
         records = {} if reuse is not None else None
         # Per column: where its cells sit, its decoder, and the values already
         # decoded from each cell text, which repeated cells share (values are
-        # frozen).
+        # frozen, plain ones immutable).
         columns = [
             (attr, src, _cell_decoder(attr), {}) for attr, src in zip(schema, source[1])
         ]
@@ -221,7 +224,7 @@ def load_table(
                             raise DataFileError(
                                 f"{path}:{reader.line_num}: column {attr.column}: {exc}"
                             ) from None
-                        if isinstance(value, FuzzyValue) and value.kind in _SHARED_KINDS:
+                        if not isinstance(value, FuzzyValue) or value.kind in _SHARED_KINDS:
                             seen[text] = value
                     cells.append(value)
             if records is not None:
@@ -249,7 +252,7 @@ class ExecutionStats:
     rows_in: int = 0
     rows_out: int = 0
     load_seconds: float = 0.0  # reading the table file; 0 for a table passed in memory
-    rows_decoded: int = 0  # records of the table file decoded, not reused from the last read
+    rows_decoded: int = 0  # records of the table file decoded, not reused from its last read
 
     @property
     def total_seconds(self) -> float:
@@ -325,8 +328,11 @@ def execute(plan: CompiledPlan, table: Table) -> Result:
     return Result(plan.headers(), out_rows, stats, plan)
 
 
-# run_query's data_dir reads: one entry, so at most one table's rows are kept.
-_last_read = RecordCache()
+# run_query's data_dir reads: one RecordCache per table, by canonical name, all
+# read under _read_under, the (Catalog object, data dir) of the last such read.
+# A read under another pair empties every entry first.
+_last_read: Dict[str, RecordCache] = {}
+_read_under: tuple = (None, None)
 
 
 def run_query(
@@ -340,8 +346,10 @@ def run_query(
 
     The table comes from the tables mapping when given, otherwise from
     <data_dir>/<table>.csv; only reading that file counts as load time, and
-    only records changed since the last such read are decoded (RecordCache).
+    only records changed since the last read of that table under the same
+    catalog object and data dir are decoded (RecordCache, one per table).
     """
+    global _read_under
     t0 = time.perf_counter()
     query = parse_query(text)
     t1 = time.perf_counter()
@@ -357,8 +365,13 @@ def run_query(
     rows_decoded = 0
     if table is None and data_dir is not None:
         t3 = time.perf_counter()
+        data_dir = os.fspath(data_dir)
+        if _read_under[0] is not catalog or _read_under[1] != data_dir:
+            _last_read.clear()
+            _read_under = (catalog, data_dir)
+        reuse = _last_read.setdefault(catalog.table_name(plan.table), RecordCache())
         table = load_table(os.path.join(data_dir, plan.table + ".csv"), plan.table, catalog,
-                           reuse=_last_read)
+                           reuse=reuse)
         load_seconds = time.perf_counter() - t3
         rows_decoded = table.decoded
     if table is None:

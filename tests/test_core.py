@@ -60,6 +60,12 @@ class TestFormatNumber:
     def test_plain_number_is_the_number_format_number_writes(self, x):
         assert repr(plain_number(x)) == format_number(x)
 
+    @pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
+    def test_non_finite_numbers_are_value_errors(self, x):
+        for write in (format_number, plain_number):
+            with pytest.raises(FuzzyValueError, match=f"^expected a finite number, got {x!r}$"):
+                write(x)
+
     @given(st.floats(allow_nan=False, allow_infinity=False, width=64))
     def test_round_trips(self, x):
         back = float(format_number(x))

@@ -5,6 +5,7 @@ import csv
 import math
 import os
 import re
+import shutil
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -35,6 +36,7 @@ from fuzzydb import (
     run_query,
     save_table,
 )
+from fuzzydb import engine
 from fuzzydb.fsql.compiler import CompiledCondition, PhysicalColumn
 from fuzzydb.fsql.parser import And
 
@@ -344,7 +346,8 @@ EDAD_CELLS = [
     "0", "1", "2", "3;26;;;", "3;26", " 3 ; 26 ;;; ", "4;joven;;;", "4;JOVEN;;;", "4;1;;;",
     "5;20;;;30", "6;30;25;35;5", "6;30;;;5", "7;25;5;-5;45",
 ]
-PELO_CELLS = ["0", "2", "3;1;rubio", "3;1;RUBIO", "3;0.5;moreno", "4;0.8;moreno;0.5;pelirrojo"]
+PELO_CELLS = ["0", "2", "3;1;rubio", "3;1;RUBIO", "3;0.5;moreno", "4;0.8;moreno;0.5;pelirrojo",
+              "4;0.5;pelirrojo;0.80;Moreno"]
 
 
 class TestLoadTable:
@@ -367,6 +370,28 @@ class TestLoadTable:
             [parse_cell(text, attr) for text, attr in zip(row, table.schema)] for row in rows
         ]
         assert table.rows == expected
+        assert repr(table.rows) == repr(expected)  # sharing merges no spellings
+
+    def test_repeated_scalar_pairs_and_plain_cells_share_one_object(self, tmp_path, case_catalog):
+        path = tmp_path / "cartulina.csv"
+        path.write_text("cod_carti,cod_capa,impresion,tono_cara,tono_reverso\n"
+                        "1,10,Offset,4;0.4;amarillo;1;manila,3;0.4;amarillo\n"
+                        "2,10,Offset,4;1;manila;0.4;amarillo,4;0.40;amarillo;1;manila\n")
+        first, second = load_table(path, "cartulina", case_catalog).rows
+        assert first[1] is second[1] and first[2] is second[2]
+        assert first[3].pairs[0] is second[3].pairs[1] and first[3].pairs[1] is second[3].pairs[0]
+        # equal pairs spelled differently stay apart; each column has its own pairs
+        assert first[4].pairs[0] == second[4].pairs[0]
+        assert first[4].pairs[0] is not second[4].pairs[0]
+        assert first[4].pairs[0] is not first[3].pairs[0]
+
+    def test_decoders_keep_no_memo_between_calls(self, case_catalog):
+        attr = case_catalog.get("cartulina", "tono_cara")
+        row = ConversionRow(4, (0.4, "amarillo", 1.0, "manila"))
+        first, second = decode_row(row, attr), decode_row(row, attr)
+        assert first == second and first.pairs[0] is not second.pairs[0]
+        text = "4;0.4;amarillo;1;manila"
+        assert parse_cell(text, attr).pairs[1] is not parse_cell(text, attr).pairs[1]
 
     def test_repeated_cells_share_one_value(self, tmp_path, case_catalog):
         path = tmp_path / "personas.csv"
@@ -450,6 +475,25 @@ class TestLoadTable:
             save_table(table, path)
         assert path.read_bytes() == before
         assert os.listdir(tmp_path) == ["pilas.csv"]
+
+    @pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
+    def test_non_finite_plain_cell_of_an_api_table_is_refused(self, tmp_path, case_dir,
+                                                               case_catalog, x):
+        table = load_table(os.path.join(case_dir, "pilas.csv"), "pilas", case_catalog)
+        path = tmp_path / "pilas.csv"
+        save_table(table, path)
+        before = path.read_bytes()
+        table.rows[-1][table.column_index("cod_pila")] = x
+        message = re.escape(f"expected a finite number, got {x!r}")
+        with pytest.raises(FuzzyDbError, match=message):
+            save_table(table, path)
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["pilas.csv"]
+        result = run_query("SELECT cod_pila FROM pilas WHERE formato_largo FEQ 65 THOLD 0",
+                           case_catalog, tables={"pilas": table})
+        for fmt in ("table", "csv", "jsonl"):
+            with pytest.raises(FuzzyDbError, match=message):
+                format_result(result, fmt)
 
     def test_save_load_round_trip(self, tmp_path, case_dir, case_catalog):
         for name in ("cartulina", "pilas", "rollos", "personas"):
@@ -685,22 +729,46 @@ def _person_lines(n, start=0):
     return [f"P{i},3;{i % 90};;;,3;0.{i % 9 + 1};rubio\n" for i in range(start, start + n)]
 
 
+# Per table: a statement showing every column of every row, and rows of cell
+# texts in schema order (a quoted two-line cell and a bad cell among them).
+WARM_READS = {
+    "personas": (EVERYONE, list(zip(NOMBRE_CELLS * 2, EDAD_CELLS, PELO_CELLS * 3))
+                 + [('"Ana\nLuis"', "4;maduro;;;", "2")]),
+    "cartulina": (
+        "SELECT cartulina.%, CDEG(tono_cara) FROM cartulina WHERE tono_cara FEQ $blanco THOLD 0",
+        [("111", "10", "Offset", "4;0.4;amarillo;1;manila", "3;0.5;manila"),
+         (" 222 ", "20", " Huecograbado ", "4;1;manila;0.40;amarillo", "2"),
+         ("333.5", "10", "Offset", "3;1;BLANCO", "4;0.5;manila;0.6;cafe"),
+         ("444", "20", '"Off\nset"', "0", "3;1;blanco"),
+         ("555", "10", "Offset", "3;1;verde", "1")],
+    ),
+    "pilas": (
+        "SELECT pilas.%, CDEG(estado) FROM pilas WHERE estado FEQ $mojado THOLD 0",
+        [("1", "3;65;;;", "3;80;;;", "3;1;golpeado"),
+         ("2", "4;optima;;;", "4;ancho;;;", "4;0.7;sucio;0.5;rayas_superficie"),
+         ("3", "5;60;;;70", "6;75;70;80;5", "3;0.9;mojado"),
+         ("4", "7;25;5;-5;45", "0", "4;0.5;rayas_superficie;0.7;SUCIO"),
+         ("5", "3;65;;;", "2", "3;0.9;mojado")],
+    ),
+}
+
+
 class TestReloadReuse:
-    """run_query(data_dir=...) reuses the rows of unchanged records of the file it read last."""
+    """run_query(data_dir=...) reuses the rows of unchanged records of every table it read."""
 
     @staticmethod
-    def write(directory, lines, header="nombre,edad,pelo\n", prefix=""):
-        with open(os.path.join(directory, "personas.csv"), "w", encoding="utf-8", newline="") as f:
+    def write(directory, lines, header="nombre,edad,pelo\n", prefix="", table="personas"):
+        with open(os.path.join(directory, table + ".csv"), "w", encoding="utf-8", newline="") as f:
             f.write(prefix + header + "".join(lines))
 
     @staticmethod
-    def query(directory, catalog):
-        return run_query(EVERYONE, catalog, data_dir=str(directory))
+    def query(directory, catalog, table="personas"):
+        return run_query(WARM_READS[table][0], catalog, data_dir=str(directory))
 
     @staticmethod
-    def cold(directory, catalog):
-        table = load_table(os.path.join(directory, "personas.csv"), "personas", catalog)
-        return run_query(EVERYONE, catalog, tables={"personas": table})
+    def cold(directory, catalog, table="personas"):
+        loaded = load_table(os.path.join(directory, table + ".csv"), table, catalog)
+        return run_query(WARM_READS[table][0], catalog, tables={table: loaded})
 
     def test_rewrite_with_the_same_mtime_is_seen(self, tmp_path, case_catalog):
         path = tmp_path / "personas.csv"
@@ -779,44 +847,93 @@ class TestReloadReuse:
         assert result.stats.rows_decoded == 1
         assert result.rows == self.cold(tmp_path, case_catalog).rows
 
+    @staticmethod
+    def decoded(directory, table, catalog):
+        return run_query(WARM_READS[table][0], catalog, data_dir=str(directory)).stats.rows_decoded
+
+    def test_every_table_read_stays_warm(self, case_copy, case_catalog):
+        assert self.decoded(case_copy, "personas", case_catalog) == 8
+        assert self.decoded(case_copy, "cartulina", case_catalog) == 14
+        assert self.decoded(case_copy, "personas", case_catalog) == 0
+        assert self.decoded(case_copy, "cartulina", case_catalog) == 0
+        assert sorted(engine._last_read) == ["cartulina", "personas"]
+
+    def test_other_catalog_or_data_dir_empties_every_entry(self, tmp_path, case_copy, case_dir,
+                                                          case_catalog):
+        other_dir = shutil.copytree(case_copy, tmp_path / "other")
+        for table in ("personas", "cartulina"):
+            self.decoded(case_copy, table, case_catalog)
+        assert self.decoded(case_copy, "personas", load_catalog(case_dir)) == 8
+        assert self.decoded(case_copy, "cartulina", case_catalog) == 14
+        assert self.decoded(case_copy, "personas", case_catalog) == 8
+        assert self.decoded(other_dir, "cartulina", case_catalog) == 14
+        assert sorted(engine._last_read) == ["cartulina"]
+        assert self.decoded(case_copy, "personas", case_catalog) == 8
+        assert self.decoded(case_copy, "personas", case_catalog) == 0
+
+    def test_failed_read_leaves_other_tables_warm(self, case_copy, case_catalog):
+        for table in ("personas", "cartulina"):
+            self.decoded(case_copy, table, case_catalog)
+        path = case_copy / "cartulina.csv"
+        good = path.read_text()
+        path.write_text(good + "999,10,Offset,3;1;verde,0\n")
+        with pytest.raises(DataFileError, match="column tono_cara"):
+            self.decoded(case_copy, "cartulina", case_catalog)
+        assert self.decoded(case_copy, "personas", case_catalog) == 0
+        path.write_text(good)
+        assert self.decoded(case_copy, "cartulina", case_catalog) == 14
+
     def test_tables_mapping_decodes_nothing(self, case_catalog, case_tables):
         assert run_query(FLAGSHIP, case_catalog, tables=case_tables).stats.rows_decoded == 0
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
     def test_warm_reads_equal_cold_reads(self, shared_catalog, tmp_path_factory, data):
+        # edits and reads interleaved across three tables; each read is checked
         directory = tmp_path_factory.mktemp("reuse")
-        cells = list(zip(NOMBRE_CELLS * 2, EDAD_CELLS, PELO_CELLS * 3)) + [('"Ana\nLuis"', "4;maduro;;;", "2")]
-        headers = ["nombre,edad,pelo\n", "pelo,nombre,edad\n"]
-        # lines for each header, plus lines of specials that read differently under each
-        either = ["2,0,1\n", "1,2,0\n", "\n"]
-        pools = {headers[0]: [",".join(c) + "\n" for c in cells] + either,
-                 headers[1]: [f"{p},{n},{e}\n" for n, e, p in cells] + either}
-        header = headers[0]
-        lines = data.draw(st.lists(st.sampled_from(pools[header]), max_size=8))
-        for _ in range(data.draw(st.integers(1, 8))):
-            op = data.draw(st.sampled_from(["edit", "insert", "delete", "reorder", "duplicate", "header"]))
+
+        def written(items, h):  # header 0 is schema order, header 1 puts the last column first
+            return ",".join(items[-1:] + items[:-1] if h else items) + "\n"
+
+        pools, files = {}, {}
+        for table, (_, rows) in WARM_READS.items():
+            columns = [attr.column for attr in shared_catalog.table_schema(table)]
+            # lines of specials, which read differently under either header, and a blank line
+            either = [written([str((i + k) % 3) for i in range(len(columns))], 0) for k in (1, 2)]
+            pools[table] = [[written(list(cells), h) for cells in rows] + either + ["\n"]
+                            for h in (0, 1)]
+            headers = [written(columns, h) for h in (0, 1)]
+            lines = data.draw(st.lists(st.sampled_from(pools[table][0]), max_size=6))
+            files[table] = [headers, 0, lines]
+            self.write(directory, lines, headers[0], table=table)
+        for _ in range(data.draw(st.integers(1, 12))):
+            table = data.draw(st.sampled_from(sorted(files)))
+            headers, h, lines = files[table]
+            op = data.draw(st.sampled_from(
+                ["read", "edit", "insert", "delete", "reorder", "duplicate", "header"]))
             i = data.draw(st.integers(0, max(len(lines) - 1, 0)))
-            if op == "insert" or not lines:
-                lines.insert(i, data.draw(st.sampled_from(pools[header])))
+            if op == "read":
+                pass
+            elif op == "insert" or not lines:
+                lines.insert(i, data.draw(st.sampled_from(pools[table][h])))
             elif op == "edit":
-                lines[i] = data.draw(st.sampled_from(pools[header]))
+                lines[i] = data.draw(st.sampled_from(pools[table][h]))
             elif op == "delete":
                 del lines[i]
             elif op == "reorder":
-                lines = data.draw(st.permutations(lines))
+                lines[:] = data.draw(st.permutations(lines))
             elif op == "duplicate":
                 lines.insert(i, lines[i])
             else:  # the same lines under the other header
-                header = headers[1 - headers.index(header)]
-            self.write(directory, lines, header)
-            assert self.outcome(self.query, directory, shared_catalog) == \
-                self.outcome(self.cold, directory, shared_catalog)
+                files[table][1] = h = 1 - h
+            self.write(directory, lines, headers[h], table=table)
+            assert self.outcome(self.query, directory, shared_catalog, table) == \
+                self.outcome(self.cold, directory, shared_catalog, table)
 
     @staticmethod
-    def outcome(read, directory, catalog):
+    def outcome(read, directory, catalog, table):
         try:
-            result = read(directory, catalog)
+            result = read(directory, catalog, table)
         except DataFileError as exc:
             return str(exc)
         return result.headers, result.rows
