@@ -193,7 +193,9 @@ class AttributeDescriptor:
 #
 # Numbers must be finite, fields may carry surrounding whitespace, and an
 # ordered cell may leave out trailing empty fields.  One decoder reads both
-# forms: decode_row writes a row's fields as text and hands them to it.
+# forms: decode_row writes a row's fields as text and hands them to it.  The
+# cell encoder writes values straight to the text the decoder reads;
+# encode_value writes conversion rows, and is the encoder's test oracle.
 
 FieldValue = Union[float, str, None]
 
@@ -230,6 +232,25 @@ class ConversionRow:
         object.__setattr__(self, "fields", tuple(self.fields))
 
 
+def _label(attr: AttributeDescriptor, name: str) -> LabelDefinition:
+    ld = attr.find_label(name)
+    if ld is None:
+        raise ConversionError(f"label {name!r} is not defined for {attr.qualified}")
+    return ld
+
+
+def _edges(attr: AttributeDescriptor, t: Trapezoid) -> Tuple[float, float]:
+    """The edge widths (b-a, c-d) a code 7 cell stores; a ConversionError if one overflows."""
+    left, right = t.b - t.a, t.c - t.d
+    if not (math.isfinite(left) and math.isfinite(right)):
+        corners = ", ".join(format_number(x) for x in t.corners())
+        raise ConversionError(
+            f"{attr.qualified}: cannot store trapezoid [{corners}]: "
+            f"its edge width b-a or c-d overflows"
+        )
+    return left, right
+
+
 def encode_value(value: FuzzyValue, attr: AttributeDescriptor) -> ConversionRow:
     """Flatten a fuzzy value into the row stored for attr's column.
 
@@ -248,10 +269,7 @@ def encode_value(value: FuzzyValue, attr: AttributeDescriptor) -> ConversionRow:
         if k is ValueKind.CRISP:
             return ConversionRow(3, (value.number, None, None, None))
         if k is ValueKind.LABEL:
-            ld = attr.find_label(value.name)
-            if ld is None:
-                raise ConversionError(f"label {value.name!r} is not defined for {attr.qualified}")
-            return ConversionRow(4, (float(ld.fuzzy_id), None, None, None))
+            return ConversionRow(4, (float(_label(attr, value.name).fuzzy_id), None, None, None))
         if k is ValueKind.INTERVAL:
             return ConversionRow(5, (value.low, None, None, value.high))
         if k is ValueKind.APPROX:
@@ -259,14 +277,7 @@ def encode_value(value: FuzzyValue, attr: AttributeDescriptor) -> ConversionRow:
             return ConversionRow(6, (d, d - g, d + g, g))
         if k is ValueKind.TRAPEZOID:
             t = value.trap
-            left, right = t.b - t.a, t.c - t.d
-            if not (math.isfinite(left) and math.isfinite(right)):
-                corners = ", ".join(format_number(x) for x in t.corners())
-                raise ConversionError(
-                    f"{attr.qualified}: cannot store trapezoid [{corners}]: "
-                    f"its edge width b-a or c-d overflows"
-                )
-            return ConversionRow(7, (t.a, left, right, t.d))
+            return ConversionRow(7, (t.a, *_edges(attr, t), t.d))
         raise ConversionError(f"{k.value} value cannot be stored in ordered column {attr.qualified}")
     if attr.ftype is FuzzyType.FUZZY_SCALAR:
         if k in _SPECIAL_CODES:
@@ -408,6 +419,62 @@ def cell_decoder(attr: AttributeDescriptor) -> Callable[[str], FuzzyValue]:
         return functools.partial(_decode_ordered, attr)
     if attr.ftype is FuzzyType.FUZZY_SCALAR:
         return functools.partial(_decode_scalar, attr, {})
+    raise ConversionError(f"column {attr.qualified} stores plain values, not conversion rows")
+
+
+_SPECIAL_TEXTS = {kind: str(ft) for kind, ft in _SPECIAL_CODES.items()}
+
+
+def _kind(attr: AttributeDescriptor, value) -> ValueKind:
+    if not isinstance(value, FuzzyValue):
+        raise ConversionError(f"{attr.qualified} holds fuzzy values, got {value!r}")
+    return value.kind
+
+
+def _encode_ordered(attr: AttributeDescriptor, value: FuzzyValue) -> str:
+    k, num = _kind(attr, value), format_number
+    if k is ValueKind.CRISP:
+        return f"3;{num(value.number)};;;"
+    if k is ValueKind.LABEL:  # by name, as the catalog spells it
+        return f"4;{_label(attr, value.name).name};;;"
+    if k is ValueKind.INTERVAL:
+        return f"5;{num(value.low)};;;{num(value.high)}"
+    if k is ValueKind.APPROX:
+        d, g = value.number, value.margin
+        return f"6;{num(d)};{num(d - g)};{num(d + g)};{num(g)}"
+    if k is ValueKind.TRAPEZOID:
+        t = value.trap
+        return ";".join(("7", *map(num, (t.a, *_edges(attr, t), t.d))))
+    if k in _SPECIAL_TEXTS:
+        return _SPECIAL_TEXTS[k]
+    raise ConversionError(f"{k.value} value cannot be stored in ordered column {attr.qualified}")
+
+
+def _encode_scalar(attr: AttributeDescriptor, value: FuzzyValue) -> str:
+    k = _kind(attr, value)
+    if k is ValueKind.SIMPLE or k is ValueKind.POSS_DIST:
+        parts = ["3" if k is ValueKind.SIMPLE else "4"]
+        for p, e in value.pairs:
+            if isinstance(e, str) and not _is_name(e):  # '5' or 'a;b' would read back otherwise
+                raise ConversionError(f"element {e!r} is not a name (an ASCII identifier)")
+            parts += (format_number(p), e if isinstance(e, str) else format_number(e))
+        return ";".join(parts)
+    if k in _SPECIAL_TEXTS:
+        return _SPECIAL_TEXTS[k]
+    raise ConversionError(f"{k.value} value cannot be stored in scalar column {attr.qualified}")
+
+
+def cell_encoder(attr: AttributeDescriptor) -> Callable[[FuzzyValue], str]:
+    """The function that writes one value of attr's fuzzy column as the cell text cell_decoder reads.
+
+    Numbers are written by format_number, labels by the catalog's spelling,
+    scalar elements as given.  Every value it writes decodes to an equal one
+    (a code 7 corner may move by an ulp); the rest raise a ConversionError.
+    """
+    if attr.ftype is FuzzyType.FUZZY_ORDERED:
+        return functools.partial(_encode_ordered, attr)
+    if attr.ftype is FuzzyType.FUZZY_SCALAR:
+        return functools.partial(_encode_scalar, attr)
     raise ConversionError(f"column {attr.qualified} stores plain values, not conversion rows")
 
 

@@ -10,20 +10,26 @@ reads the text, repeated plain cells and cells of the small-vocabulary kinds
 share one (immutable) value object, and repeated scalar pairs share one tuple.
 run_query keeps the rows of every table file it read under the current
 catalog and data dir, so that reading one again decodes only the records that
-changed.
+changed; the kept rows die with that catalog.
+
+save_table is the mirror of load_table: one encoder per column writes each
+distinct value object once, straight to the cell text the column's decoder
+reads, and refuses any value the decoder would reject or read differently.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import operator
 import os
 import time
+import weakref
 from dataclasses import dataclass, field
 from itertools import compress
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, Iterable, List, Optional
 
 from .catalog import (
     AttributeDescriptor,
@@ -31,11 +37,11 @@ from .catalog import (
     FuzzyType,
     atomic_write,
     cell_decoder,
-    encode_value,
+    cell_encoder,
     parse_number,
 )
 from .core import FuzzyValue, ValueKind, feq, fold_name, format_number, plain_number
-from .errors import DataFileError, FuzzyDbError, undecodable_line
+from .errors import ConversionError, DataFileError, FuzzyDbError, undecodable_line
 from .fsql.compiler import (
     CompiledCondition,
     CompiledPlan,
@@ -72,6 +78,21 @@ _SHARED_KINDS = frozenset(
 )
 
 
+def _per_distinct(fn: Callable[[list], Iterable], column, keys=None) -> list:
+    """The result of each cell of column, where fn maps the list of distinct cells to theirs.
+
+    Cells with one key are one distinct cell, the first of them.  The keys
+    default to the cells' ids: column keeps its cells alive, they cannot
+    change (values are frozen, plain cells immutable), and load_table shares
+    repeated ones, so one object's result serves all its cells.
+    """
+    if keys is None:
+        keys = list(map(id, column))
+    firsts = dict(zip(reversed(keys), reversed(column)))
+    done = dict(zip(firsts, fn(list(firsts.values()))))
+    return list(map(done.__getitem__, keys))
+
+
 def _cell_decoder(attr: AttributeDescriptor) -> Callable[[str], object]:
     """The function that turns one CSV cell of attr's column into its value."""
     if attr.ftype is FuzzyType.PRECISE:
@@ -81,14 +102,51 @@ def _cell_decoder(attr: AttributeDescriptor) -> Callable[[str], object]:
         return decode
 
     def decode_scalar(text: str) -> FuzzyValue:
-        # the codec takes any name or number; the column's domain is its labels
         value = decode(text)
-        for _, element in value.pairs:
-            if not isinstance(element, str) or attr.find_label(element) is None:
-                raise DataFileError(f"element {element!r} is not in the domain of {attr.qualified}")
+        _check_domain(attr, value)
         return value
 
     return decode_scalar
+
+
+def _check_domain(attr: AttributeDescriptor, value: FuzzyValue) -> None:
+    # the codec takes any name or number; a scalar column's domain is its labels
+    for _, element in value.pairs:
+        if not isinstance(element, str) or attr.find_label(element) is None:
+            raise ConversionError(f"element {element!r} is not in the domain of {attr.qualified}")
+
+
+def _cell_encoder(attr: AttributeDescriptor) -> Callable[[object], str]:
+    """The function that turns one value of attr's column into the CSV cell _cell_decoder reads."""
+    if attr.ftype is FuzzyType.PRECISE:
+        return _number_cell if attr.domain_kind == "numeric" else _text_cell
+    encode = cell_encoder(attr)
+    if attr.ftype is FuzzyType.FUZZY_ORDERED:
+        return encode
+
+    def encode_scalar(value: FuzzyValue) -> str:
+        text = encode(value)
+        _check_domain(attr, value)
+        return text
+
+    return encode_scalar
+
+
+def _not_plain(value, want: str) -> ConversionError:
+    got = f"fuzzy value {render_value(value)}" if isinstance(value, FuzzyValue) else repr(value)
+    return ConversionError(f"expected {want}, got {got}")
+
+
+def _number_cell(value) -> str:
+    if isinstance(value, (int, float)):
+        return format_number(value)  # a FuzzyValueError for inf and nan
+    raise _not_plain(value, "a number")
+
+
+def _text_cell(value) -> str:
+    if isinstance(value, str) and value == value.strip():  # the reader strips
+        return value
+    raise _not_plain(value, "text with no surrounding whitespace")
 
 
 def parse_cell(text: str, attr: AttributeDescriptor):
@@ -104,16 +162,12 @@ def parse_cell(text: str, attr: AttributeDescriptor):
 
 
 def format_cell(value, attr: AttributeDescriptor) -> str:
-    """Inverse of parse_cell: the CSV text that parses back to value."""
-    if attr.ftype is FuzzyType.PRECISE:
-        return format_number(value) if attr.domain_kind == "numeric" else str(value)
-    row = encode_value(value, attr)
-    if row.ft in (0, 1, 2):
-        return str(row.ft)
-    if value.kind is ValueKind.LABEL:  # written by name, as the catalog spells it
-        return f"4;{attr.label_by_id(int(row.fields[0])).name};;;"
-    texts = ("" if x is None else x if isinstance(x, str) else format_number(x) for x in row.fields)
-    return ";".join((str(row.ft), *texts))
+    """Inverse of parse_cell: the CSV text that parses back to value.
+
+    It is the cell save_table writes.  A value that parse_cell would reject
+    or read differently raises a FuzzyDbError instead.
+    """
+    return _cell_encoder(attr)(value)
 
 
 def _utf8_lines(f, path, consumed: List[str]):
@@ -236,12 +290,33 @@ def load_table(
 
 
 def save_table(table: Table, path) -> None:
-    """Write a table back to CSV in schema order, replacing the file only once it is complete."""
+    """Write a table back to CSV in schema order, replacing the file only once it is complete.
+
+    Each column is encoded on its own, once per distinct value object, and
+    every cell is encoded before <path>.tmp is opened: a cell that load_table
+    would reject or read differently raises a ConversionError naming
+    path:line and the column, and leaves the old file as it was.
+    """
+    schema = table.schema
+    for line, row in enumerate(table.rows, start=2):
+        if len(row) != len(schema):
+            raise ConversionError(f"{path}:{line}: expected {len(schema)} cells, found {len(row)}")
+    columns = []
+    for attr, column in zip(schema, zip(*table.rows)):
+        encode = _cell_encoder(attr)
+        try:
+            columns.append(_per_distinct(functools.partial(map, encode), column))
+        except FuzzyDbError:
+            for line, cell in enumerate(column, start=2):  # the first row at fault
+                try:
+                    encode(cell)
+                except FuzzyDbError as exc:
+                    raise ConversionError(f"{path}:{line}: column {attr.column}: {exc}") from None
+            raise
     with atomic_write(path) as f:
         writer = csv.writer(f, lineterminator="\n")
-        writer.writerow([attr.column for attr in table.schema])
-        for row in table.rows:
-            writer.writerow([format_cell(cell, attr) for cell, attr in zip(row, table.schema)])
+        writer.writerow([attr.column for attr in schema])
+        writer.writerows(zip(*columns))
 
 
 @dataclass
@@ -270,18 +345,13 @@ class Result:
 def _condition_degrees(cond: CompiledCondition, column: List[object]) -> List[float]:
     """feq of cond on each cell of column, computed once per distinct cell.
 
-    Fuzzy cells are told apart by object (values are frozen, and load_table
-    shares repeated ones), plain numbers by value.
+    Fuzzy cells are told apart by object, plain numbers by value.
     """
-    if cond.attr.ftype is FuzzyType.PRECISE:
-        keys = column
-        distinct = {cell: cell for cell in dict.fromkeys(column)}  # the first of equal numbers
-    else:
-        keys = list(map(id, column))
-        distinct = dict(zip(keys, column))
-    degree = {key: feq(cell if isinstance(cell, FuzzyValue) else FuzzyValue.crisp(cell),
-                       cond.operand, cond.attr) for key, cell in distinct.items()}
-    return list(map(degree.__getitem__, keys))
+    def degrees(cells: list) -> List[float]:
+        return [feq(cell if isinstance(cell, FuzzyValue) else FuzzyValue.crisp(cell),
+                    cond.operand, cond.attr) for cell in cells]
+
+    return _per_distinct(degrees, column, column if cond.attr.ftype is FuzzyType.PRECISE else None)
 
 
 def _passes(node, degrees: List[List[float]]) -> List[bool]:
@@ -329,10 +399,12 @@ def execute(plan: CompiledPlan, table: Table) -> Result:
 
 
 # run_query's data_dir reads: one RecordCache per table, by canonical name, all
-# read under _read_under, the (Catalog object, data dir) of the last such read.
-# A read under another pair empties every entry first.
+# read under _read_under: a weak reference to the Catalog object of the last
+# such read, and its data dir.  A read under another pair empties every entry
+# first, and so does that catalog's death, through the reference's callback; a
+# replaced reference is dropped with its callback, so it clears nothing.
 _last_read: Dict[str, RecordCache] = {}
-_read_under: tuple = (None, None)
+_read_under: tuple = (lambda: None, None)
 
 
 def run_query(
@@ -366,9 +438,9 @@ def run_query(
     if table is None and data_dir is not None:
         t3 = time.perf_counter()
         data_dir = os.fspath(data_dir)
-        if _read_under[0] is not catalog or _read_under[1] != data_dir:
+        if _read_under[0]() is not catalog or _read_under[1] != data_dir:
             _last_read.clear()
-            _read_under = (catalog, data_dir)
+            _read_under = (weakref.ref(catalog, lambda _: _last_read.clear()), data_dir)
         reuse = _last_read.setdefault(catalog.table_name(plan.table), RecordCache())
         table = load_table(os.path.join(data_dir, plan.table + ".csv"), plan.table, catalog,
                            reuse=reuse)
@@ -449,16 +521,20 @@ def format_result(result: Result, fmt: str = "table", locale: str = "dot") -> st
             writer.writerow([render_value(cell, locale) for cell in row])
         return out.getvalue().rstrip("\n")
     if fmt == "jsonl":
+        keys, seen = [], {}  # the n-th repeat of a header (n >= 2) is keyed <header>#n
+        for header in result.headers:
+            seen[header] = n = seen.get(header, 0) + 1
+            keys.append(header if n == 1 else f"{header}#{n}")
         lines = []
         for row in result.rows:
             record = {}
-            for header, cell in zip(result.headers, row):
+            for key, cell in zip(keys, row):
                 if isinstance(cell, FuzzyValue):
-                    record[header] = render_value(cell)
+                    record[key] = render_value(cell)
                 elif isinstance(cell, float):
-                    record[header] = plain_number(cell)  # the number the other formats print
+                    record[key] = plain_number(cell)  # the number the other formats print
                 else:
-                    record[header] = cell
+                    record[key] = cell
             lines.append(json.dumps(record, ensure_ascii=False))
         return "\n".join(lines)
     raise ValueError(f"unknown result format {fmt!r}")

@@ -54,7 +54,7 @@ def tokenize(source: str) -> List[Token]:
 
     Keywords are case-insensitive and come back with their canonical upper
     case spelling as the token kind. Numbers are unsigned decimals written
-    in ASCII digits; labels are '$' immediately followed by an identifier.
+    in ASCII digits, with an optional exponent (1e-05, 2.5E+16); labels are '$' immediately followed by an identifier.
     """
     tokens = []
     i = 0
@@ -92,6 +92,12 @@ def tokenize(source: str) -> List[Token]:
                 j += 2
                 while j < n and _is_digit(source[j]):
                     j += 1
+            if source[j : j + 1] in ("e", "E"):
+                k = j + 2 if source[j + 1 : j + 2] in ("+", "-") else j + 1
+                if k < n and _is_digit(source[k]):  # else 'e' is not part of the number
+                    j = k + 1
+                    while j < n and _is_digit(source[j]):
+                        j += 1
             text = source[i:j]
             value = float(text)
             if not math.isfinite(value):

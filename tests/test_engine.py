@@ -2,10 +2,13 @@
 
 import copy
 import csv
+import gc
+import json
 import math
 import os
 import re
 import shutil
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,6 +20,7 @@ from fuzzydb import (
     DataFileError,
     ExecutionStats,
     FuzzyDbError,
+    FuzzyType,
     FuzzyValue,
     Result,
     Table,
@@ -37,6 +41,7 @@ from fuzzydb import (
     save_table,
 )
 from fuzzydb import engine
+from fuzzydb.core import ValueKind
 from fuzzydb.fsql.compiler import CompiledCondition, PhysicalColumn
 from fuzzydb.fsql.parser import And
 
@@ -504,6 +509,140 @@ class TestLoadTable:
             assert again.rows == original.rows
 
 
+def oracle_cell(value, attr):
+    """A cell as save_table wrote it one cell at a time: encode_value, then each field as text."""
+    if attr.ftype is FuzzyType.PRECISE:
+        return format_number(value) if attr.domain_kind == "numeric" else str(value)
+    row = encode_value(value, attr)
+    if row.ft < 3:
+        return str(row.ft)
+    if value.kind is ValueKind.LABEL:
+        return f"4;{attr.label_by_id(int(row.fields[0])).name};;;"
+    texts = ("" if x is None else x if isinstance(x, str) else format_number(x) for x in row.fields)
+    return ";".join((str(row.ft), *texts))
+
+
+def oracle_save(table, path):
+    with open(path, "w", encoding="utf-8", newline="") as f:
+        writer = csv.writer(f, lineterminator="\n")
+        writer.writerow([attr.column for attr in table.schema])
+        for row in table.rows:
+            writer.writerow([oracle_cell(cell, attr) for cell, attr in zip(row, table.schema)])
+
+
+def column_values(attr):
+    """Values that attr's column stores, label names also in another case."""
+    if attr.ftype is FuzzyType.PRECISE:
+        if attr.domain_kind == "numeric":
+            return st.one_of(PLAIN_NUMBERS, NUMBERS, st.integers(-2 ** 60, 2 ** 60))
+        text = st.text(st.characters(exclude_categories=("Cs",), exclude_characters="\x00"),
+                       max_size=6)
+        return text.filter(lambda t: t == t.strip())
+    names = [ld.name for ld in attr.labels]
+    if attr.ftype is FuzzyType.FUZZY_ORDERED:
+        return st.one_of(ordered_values(names),
+                         st.sampled_from(names).map(lambda n: FuzzyValue.label(n.upper())),
+                         st.sampled_from([FuzzyValue.crisp(0.0), FuzzyValue.crisp(-0.0)]))
+    return st.one_of(scalar_values(names), scalar_values([n.upper() for n in names]))
+
+
+def twin(value):
+    """An equal value held in another object."""
+    if isinstance(value, FuzzyValue):
+        return copy.copy(value)
+    return float(repr(value)) if isinstance(value, float) else value
+
+
+class TestSaveTable:
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_bytes_match_the_cell_at_a_time_oracle(self, shared_catalog, tmp_path_factory, data):
+        name = data.draw(st.sampled_from(shared_catalog.tables()))
+        schema = shared_catalog.table_schema(name)
+        # a small pool of value objects that rows share, as load_table shares them
+        pools = [data.draw(st.lists(column_values(attr), min_size=1, max_size=4)) for attr in schema]
+
+        def cell(i):
+            # a pooled object, an equal copy held apart from it, or a value of its own
+            pool = st.sampled_from(pools[i])
+            return st.one_of(pool, pool.map(twin), column_values(schema[i]))
+
+        rows = data.draw(st.lists(st.tuples(*map(cell, range(len(schema)))).map(list), max_size=25))
+        table = Table(name, schema, rows)
+        directory = tmp_path_factory.mktemp("save")
+        save_table(table, directory / "columns.csv")
+        oracle_save(table, directory / "cells.csv")
+        assert (directory / "columns.csv").read_bytes() == (directory / "cells.csv").read_bytes()
+
+    def test_equal_values_that_write_differently_stay_apart(self, tmp_path, case_catalog):
+        # equal as values, apart as objects: a memo keyed by value would merge them
+        zero, negative = FuzzyValue.crisp(0.0), FuzzyValue.crisp(-0.0)
+        assert zero == negative and hash(zero) == hash(negative)
+        people = Table("personas", case_catalog.table_schema("personas"), [
+            ["a", zero, FuzzyValue.simple(1, "RUBIO")], ["b", negative, FuzzyValue.null()],
+            ["c", FuzzyValue.label("JOVEN"), FuzzyValue.simple(1, "rubio")],
+            ["d", FuzzyValue.label("joven"), FuzzyValue.null()],
+        ])
+        stacks = Table("pilas", case_catalog.table_schema("pilas"), [
+            [code, FuzzyValue.null(), FuzzyValue.null(), FuzzyValue.null()]
+            for code in (0.0, -0.0, 0, 1, 1.0, 2 ** 60)
+        ])
+        for table in (people, stacks):
+            save_table(table, tmp_path / "columns.csv")
+            oracle_save(table, tmp_path / "cells.csv")
+            assert (tmp_path / "columns.csv").read_bytes() == (tmp_path / "cells.csv").read_bytes()
+        assert (tmp_path / "cells.csv").read_text().split()[1:3] == ["0,2,2,2", "-0.0,2,2,2"]
+        save_table(people, tmp_path / "personas.csv")
+        assert (tmp_path / "personas.csv").read_text() == (
+            "nombre,edad,pelo\na,3;0;;;,3;1;RUBIO\nb,3;-0.0;;;,2\n"
+            "c,4;joven;;;,3;1;rubio\nd,4;joven;;;,2\n"
+        )
+
+    def test_bundled_tables_match_the_oracle(self, tmp_path, case_dir, case_catalog):
+        for name in case_catalog.tables():
+            table = load_table(os.path.join(case_dir, name + ".csv"), name, case_catalog)
+            save_table(table, tmp_path / "columns.csv")
+            oracle_save(table, tmp_path / "cells.csv")
+            assert (tmp_path / "columns.csv").read_bytes() == (tmp_path / "cells.csv").read_bytes()
+
+    @pytest.mark.parametrize("column, value, message", [
+        ("tono_cara", FuzzyValue.simple(0.5, "verde_lima"),
+         "element 'verde_lima' is not in the domain of cartulina.tono_cara"),
+        ("tono_cara", FuzzyValue.simple(0.5, "a;b"), "element 'a;b' is not a name (an ASCII identifier)"),
+        ("tono_cara", FuzzyValue.simple(0.5, "5"), "element '5' is not a name (an ASCII identifier)"),
+        ("tono_cara", 0.5, "cartulina.tono_cara holds fuzzy values, got 0.5"),
+        ("tono_cara", FuzzyValue.crisp(3), "crisp value cannot be stored in scalar column "
+                                           "cartulina.tono_cara"),
+        ("cod_carti", FuzzyValue.crisp(3), "expected a number, got fuzzy value 3"),
+        ("cod_carti", "3", "expected a number, got '3'"),
+        ("impresion", FuzzyValue.label("x"),
+         "expected text with no surrounding whitespace, got fuzzy value $x"),
+        ("impresion", " Offset", "expected text with no surrounding whitespace, got ' Offset'"),
+    ])
+    def test_unloadable_cell_is_refused_before_anything_is_written(
+            self, tmp_path, case_dir, case_catalog, column, value, message):
+        table = load_table(os.path.join(case_dir, "cartulina.csv"), "cartulina", case_catalog)
+        path = tmp_path / "cartulina.csv"
+        save_table(table, path)
+        before = path.read_bytes()
+        slot = table.column_index(column)
+        table.rows[3][slot] = table.rows[9][slot] = value  # the first row at fault is named
+        with pytest.raises(ConversionError) as err:
+            save_table(table, path)
+        assert str(err.value) == f"{path}:5: column {column}: {message}"
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["cartulina.csv"]
+        with pytest.raises(FuzzyDbError, match=re.escape(message)):
+            format_cell(value, table.schema[slot])
+
+    def test_row_of_another_width_is_refused(self, tmp_path, case_tables):
+        table = case_tables["personas"]
+        table.rows[1] = table.rows[1][:2]
+        with pytest.raises(ConversionError, match=re.escape("personas.csv:3: expected 3 cells, found 2")):
+            save_table(table, tmp_path / "personas.csv")
+        assert os.listdir(tmp_path) == []
+
+
 class TestExecute:
     def test_flagship_rows(self, case_catalog, case_tables):
         plan = compile_query(FLAGSHIP, case_catalog)
@@ -883,6 +1022,27 @@ class TestReloadReuse:
         path.write_text(good)
         assert self.decoded(case_copy, "cartulina", case_catalog) == 14
 
+    @staticmethod
+    def marked(number):
+        """The live values of crisp number; FuzzyValue is slotted, so it takes no weakref."""
+        return [o for o in gc.get_objects()
+                if type(o) is FuzzyValue and o.kind is ValueKind.CRISP and o.number == number]
+
+    def test_entries_die_with_their_catalog(self, tmp_path, case_dir):
+        self.write(tmp_path, ["Ana,3;26.125;;;,0\n"])
+        first, second = load_catalog(case_dir), load_catalog(case_dir)
+        self.query(tmp_path, first)
+        entry = weakref.ref(engine._last_read["personas"])
+        self.query(tmp_path, second)  # the entries are second's now
+        del first
+        gc.collect()
+        assert sorted(engine._last_read) == ["personas"]
+        assert self.query(tmp_path, second).stats.rows_decoded == 0
+        assert entry() is None and len(self.marked(26.125)) == 1
+        del second
+        gc.collect()
+        assert engine._last_read == {} and self.marked(26.125) == []
+
     def test_tables_mapping_decodes_nothing(self, case_catalog, case_tables):
         assert run_query(FLAGSHIP, case_catalog, tables=case_tables).stats.rows_decoded == 0
 
@@ -1000,6 +1160,33 @@ class TestRendering:
             '{"c0": 1e+300, "c1": -0.0, "c2": 0, "c3": 3, "c4": 0.5, "c5": 1e+16, '
             '"c6": 123456789012345, "c7": 7, "c8": "x"}'
         )
+
+    @pytest.mark.parametrize("sql, keys", [
+        ("SELECT cartulina.% FROM cartulina WHERE tono_cara FEQ $blanco THOLD 0 "
+         "OR tono_cara FEQ $cafe THOLD 0",
+         ["cod_carti", "cod_capa", "impresion", "tono_cara", "tono_reverso", "CDEG(tono_cara)",
+          "CDEG(tono_cara)#2"]),
+        ("SELECT cod_carti, CDEG(tono_cara), cod_carti, CDEG(tono_cara), CDEG(tono_cara) "
+         "FROM cartulina WHERE tono_cara FEQ $blanco THOLD 0",
+         ["cod_carti", "CDEG(tono_cara)", "cod_carti#2", "CDEG(tono_cara)#2", "CDEG(tono_cara)#3"]),
+    ])
+    def test_jsonl_keys_repeated_headers_apart(self, case_catalog, case_tables, sql, keys):
+        result = run_query(sql, case_catalog, tables=case_tables)
+        assert len(set(result.headers)) < len(result.headers)
+        lines = format_result(result, "jsonl").splitlines()
+        assert len(lines) == len(result.rows) == 14
+        for line, row in zip(lines, result.rows):
+            record = json.loads(line)
+            assert list(record) == keys
+            assert list(record.values()) == [
+                render_value(c) if isinstance(c, FuzzyValue) else c for c in row]
+
+    def test_jsonl_keeps_both_degrees_of_one_column(self, case_catalog, case_tables):
+        result = run_query("SELECT cartulina.% FROM cartulina WHERE tono_cara FEQ $blanco THOLD 0 "
+                           "OR tono_cara FEQ $cafe THOLD 0", case_catalog, tables=case_tables)
+        record = json.loads(format_result(result, "jsonl").splitlines()[3])
+        assert record["cod_carti"] == 444
+        assert (record["CDEG(tono_cara)"], record["CDEG(tono_cara)#2"]) == (0.5, 0.2)
 
     def test_unknown_format(self, case_catalog, case_tables):
         result = run_query(FLAGSHIP, case_catalog, tables=case_tables)

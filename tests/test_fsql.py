@@ -1,8 +1,11 @@
 """FSQL tokenizer, parser, canonical rendering, and compilation."""
 
 import importlib
+import math
+import re
 
 import pytest
+from hypothesis import given, strategies as st
 
 from fuzzydb import CompileError, FsqlSyntaxError, compile_query, parse_query, render_query
 from fuzzydb.fsql import (
@@ -47,6 +50,22 @@ class TestLexer:
     def test_numbers(self):
         tokens = tokenize("0.5 26 100.25")
         assert [t.value for t in tokens[:-1]] == [0.5, 26.0, 100.25]
+
+    def test_exponents(self):
+        tokens = tokenize("1e5 2.5E+3 7e-05 1E0")
+        assert [t.value for t in tokens[:-1]] == [1e5, 2500.0, 7e-05, 1.0]
+        assert [t.text for t in tokens[:-1]] == ["1e5", "2.5E+3", "7e-05", "1E0"]
+
+    @pytest.mark.parametrize("text, message", [
+        ("SELECT a FROM t WHERE a FEQ 1e", "unexpected 'e' after end of query at 1:30"),
+        ("SELECT a FROM t WHERE a FEQ 1e+ THOLD 0", "unexpected character '+' at 1:31"),
+        ("SELECT a FROM t WHERE a FEQ 1e\u0663", "unexpected 'e\u0663' after end of query at 1:30"),
+        ("SELECT a FROM t WHERE a FEQ 1e999", "is too large at 1:29"),
+        ("SELECT a FROM t WHERE a FEQ 1 THOLD 2.5E+400", "is too large at 1:37"),
+    ])
+    def test_malformed_exponents_rejected_with_position(self, text, message):
+        with pytest.raises(FsqlSyntaxError, match=re.escape(message)):
+            parse_query(text)
 
     def test_overflowing_number_rejected_with_position(self):
         with pytest.raises(FsqlSyntaxError) as err:
@@ -181,6 +200,15 @@ class TestRender:
         again = parse_query(render_query(once))
         assert again == once
         assert render_query(again) == render_query(once)
+
+    @given(x=st.floats(allow_nan=False, allow_infinity=False).map(abs),
+           t=st.floats(0, 1))
+    def test_numbers_parse_back_from_their_render(self, x, t):
+        # format_number writes exponents (1e-05, 1e+16), which the lexer reads
+        query = parse_query(f"SELECT a FROM t WHERE a FEQ {x!r} THOLD {t!r}")
+        again = parse_query(render_query(query))
+        assert again == query
+        assert math.copysign(1, again.where.operand.value) == 1
 
     def test_parenthesizes_or_under_and(self):
         text = render_query(parse_query("SELECT a FROM t WHERE (a FEQ 1 OR b FEQ 2) AND c FEQ 3"))
