@@ -162,8 +162,8 @@ def cmd_query(args) -> int:
         s = result.stats
         print(
             f"load {s.load_seconds * 1000:.2f}ms  parse {s.parse_seconds * 1000:.2f}ms  "
-            f"compile {s.compile_seconds * 1000:.2f}ms  "
-            f"execute {s.execute_seconds * 1000:.2f}ms  rows {s.rows_in} -> {s.rows_out}  "
+            f"compile {s.compile_seconds * 1000:.2f}ms  execute {s.execute_seconds * 1000:.2f}ms  "
+            f"render {s.render_seconds * 1000:.2f}ms  rows {s.rows_in} -> {s.rows_out}  "
             f"decoded {s.rows_decoded}",
             file=sys.stderr,
         )

@@ -15,6 +15,12 @@ changed; the kept rows die with that catalog.
 save_table is the mirror of load_table: one encoder per column writes each
 distinct value object once, straight to the cell text the column's decoder
 reads, and refuses any value the decoder would reject or read differently.
+
+format_result renders a result the same way, a column at a time: each
+distinct cell object of a column becomes text once, through one table of
+text functions by value kind (_KIND_TEXT, which render_value uses too), and
+the lines are joined from the column texts, byte for byte as rendering row by
+row would write them.
 """
 
 from __future__ import annotations
@@ -28,7 +34,7 @@ import os
 import time
 import weakref
 from dataclasses import dataclass, field
-from itertools import compress
+from itertools import compress, repeat
 from typing import Callable, Dict, Iterable, List, Optional
 
 from .catalog import (
@@ -289,29 +295,43 @@ def load_table(
     return Table(catalog.table_name(table_name), list(schema), rows, decoded)
 
 
+def _line_of(rows, r: int) -> int:
+    """The line of the file save_table writes on which rows[r] starts.
+
+    The header is line 1, and each row takes one line plus the line breaks
+    its cells write, which only text cells hold.  The file is read back as
+    load_table reads it: '\n', '\r' and '\r\n' each end a line.
+    """
+    texts = [cell for row in rows[:r] for cell in row if isinstance(cell, str)]
+    return r + 2 + sum(t.count("\n") + t.count("\r") - t.count("\r\n") for t in texts)
+
+
 def save_table(table: Table, path) -> None:
     """Write a table back to CSV in schema order, replacing the file only once it is complete.
 
     Each column is encoded on its own, once per distinct value object, and
     every cell is encoded before <path>.tmp is opened: a cell that load_table
     would reject or read differently raises a ConversionError naming
-    path:line and the column, and leaves the old file as it was.
+    path:line (the line its row starts on) and the column, and leaves the
+    old file as it was.
     """
     schema = table.schema
-    for line, row in enumerate(table.rows, start=2):
+    for r, row in enumerate(table.rows):
         if len(row) != len(schema):
-            raise ConversionError(f"{path}:{line}: expected {len(schema)} cells, found {len(row)}")
+            raise ConversionError(
+                f"{path}:{_line_of(table.rows, r)}: expected {len(schema)} cells, found {len(row)}")
     columns = []
     for attr, column in zip(schema, zip(*table.rows)):
         encode = _cell_encoder(attr)
         try:
             columns.append(_per_distinct(functools.partial(map, encode), column))
         except FuzzyDbError:
-            for line, cell in enumerate(column, start=2):  # the first row at fault
+            for r, cell in enumerate(column):  # the first row at fault
                 try:
                     encode(cell)
                 except FuzzyDbError as exc:
-                    raise ConversionError(f"{path}:{line}: column {attr.column}: {exc}") from None
+                    raise ConversionError(
+                        f"{path}:{_line_of(table.rows, r)}: column {attr.column}: {exc}") from None
             raise
     with atomic_write(path) as f:
         writer = csv.writer(f, lineterminator="\n")
@@ -328,9 +348,11 @@ class ExecutionStats:
     rows_out: int = 0
     load_seconds: float = 0.0  # reading the table file; 0 for a table passed in memory
     rows_decoded: int = 0  # records of the table file decoded, not reused from its last read
+    render_seconds: float = 0.0  # the last format_result of the result; not in total_seconds
 
     @property
     def total_seconds(self) -> float:
+        """The time run_query took: load, parse, compile and execute, without rendering."""
         return self.load_seconds + self.parse_seconds + self.compile_seconds + self.execute_seconds
 
 
@@ -459,82 +481,184 @@ def run_query(
 # -- rendering ---------------------------------------------------------------
 
 
-def _localize(text: str, locale: str) -> str:
-    return text.replace(".", ",") if locale == "comma" else text
+def _comma_number(x) -> str:
+    return format_number(x).replace(".", ",")
+
+
+def _pairs_text(value: FuzzyValue, number: Callable[[float], str]) -> str:
+    return ", ".join([f"{number(p)}/{e if isinstance(e, str) else number(e)}" for p, e in value.pairs])
+
+
+# The text of each kind of fuzzy value, given the function that writes its
+# numbers; label names and elements are written as they are.
+_KIND_TEXT: Dict[ValueKind, Callable[..., str]] = {
+    ValueKind.UNKNOWN: lambda v, number: "UNKNOWN",
+    ValueKind.UNDEFINED: lambda v, number: "UNDEFINED",
+    ValueKind.NULL: lambda v, number: "NULL",
+    ValueKind.CRISP: lambda v, number: number(v.number),
+    ValueKind.LABEL: lambda v, number: "$" + v.name,
+    ValueKind.INTERVAL: lambda v, number: f"[{number(v.low)}, {number(v.high)}]",
+    ValueKind.APPROX: lambda v, number: f"#{number(v.number)}~{number(v.margin)}",
+    ValueKind.TRAPEZOID: lambda v, number: f"$[{', '.join(map(number, v.trap.corners()))}]",
+    ValueKind.SIMPLE: _pairs_text,
+    ValueKind.POSS_DIST: _pairs_text,
+}
+
+
+def _cell_text(plain: Callable[[float], str], inner: Callable[[float], str]) -> Callable[[object], str]:
+    """The function that renders one result cell: a plain number with plain, the numbers
+    inside a fuzzy value with inner."""
+    def text(cell) -> str:
+        if isinstance(cell, FuzzyValue):
+            return _KIND_TEXT[cell.kind](cell, inner)
+        return cell if isinstance(cell, str) else plain(cell)
+
+    return text
+
+
+_dot_text = _cell_text(format_number, format_number)
+_comma_text = _cell_text(_comma_number, _comma_number)
+
+
+class _NumberTexts(dict):
+    """write(x) for each number looked up, computed once per distinct value.
+
+    Equal numbers write the same text, apart from 0.0 and -0.0, so zeros are
+    written every time and never kept.
+    """
+
+    __slots__ = ("write",)
+
+    def __init__(self, write: Callable[[float], str]):
+        super().__init__()
+        self.write = write
+
+    def __missing__(self, x) -> str:
+        text = self.write(x)
+        if x:
+            self[x] = text
+        return text
 
 
 def render_value(value, locale: str = "dot") -> str:
-    """Human-readable form of one result cell.
+    """Human-readable form of one result cell, as format_result shows it.
 
-    Plain values render as themselves, degrees as trimmed numbers.  Fuzzy
+    Plain values render as themselves, numbers as trimmed decimals.  Fuzzy
     values: the specials by name, $label, [low, high], #center~margin,
-    $[a, b, c, d], and possibility pairs as 'degree/element'.
+    $[a, b, c, d], and possibility pairs as 'degree/element'.  The comma
+    locale writes ',' for the decimal point of numbers, never in a label
+    name, an element or a text cell.
     """
-    if not isinstance(value, FuzzyValue):
-        if isinstance(value, str):
-            return value
-        return _localize(format_number(value), locale)
-    k = value.kind
-    if k is ValueKind.UNKNOWN:
-        return "UNKNOWN"
-    if k is ValueKind.UNDEFINED:
-        return "UNDEFINED"
-    if k is ValueKind.NULL:
-        return "NULL"
-    if k is ValueKind.CRISP:
-        return _localize(format_number(value.number), locale)
-    if k is ValueKind.LABEL:
-        return f"${value.name}"
-    if k is ValueKind.INTERVAL:
-        return f"[{_localize(format_number(value.low), locale)}, " \
-               f"{_localize(format_number(value.high), locale)}]"
-    if k is ValueKind.APPROX:
-        return f"#{_localize(format_number(value.number), locale)}" \
-               f"~{_localize(format_number(value.margin), locale)}"
-    if k is ValueKind.TRAPEZOID:
-        corners = ", ".join(_localize(format_number(x), locale) for x in value.trap.corners())
-        return f"$[{corners}]"
-    parts = []
-    for p, e in value.pairs:
-        element = e if isinstance(e, str) else _localize(format_number(e), locale)
-        parts.append(f"{_localize(format_number(p), locale)}/{element}")
-    return ", ".join(parts)
+    return (_comma_text if locale == "comma" else _dot_text)(value)
+
+
+_json = json.JSONEncoder(ensure_ascii=False).encode  # as json.dumps(x, ensure_ascii=False)
+
+
+def _json_cell(text: Callable[[object], str]) -> Callable[[object], str]:
+    """The function that writes one jsonl cell as JSON: a fuzzy value as its text, a number
+    as the other formats print it."""
+    def json_cell(cell) -> str:
+        if isinstance(cell, FuzzyValue):
+            return _json(text(cell))
+        if isinstance(cell, float):
+            cell = plain_number(cell)
+        # json writes an int, and a finite float, as its repr; encode is slower on numbers
+        return repr(cell) if type(cell) is int or type(cell) is float else _json(cell)
+
+    return json_cell
+
+
+def _column_texts(column, text: Callable[[object], str], prefix: str = "") -> list:
+    """prefix + text(cell) for each cell of column, computed once per distinct cell object.
+
+    Cells are told apart by object (their id): column keeps them alive, and
+    they cannot change (values are frozen, plain cells immutable).  So equal
+    cells that render differently stay apart (0.0 and -0.0, 1 and True), and
+    the cells that load_table and execute share render once.
+    """
+    cells = dict(zip(map(id, column), column))
+    texts = dict(zip(cells, map(prefix.__add__, map(text, cells.values()))))
+    return list(map(texts.__getitem__, map(id, column)))
+
+
+def _table_column(header: str, column, text: Callable[[object], str]) -> tuple:
+    """The header and the cell texts of one table column, each padded to the column's width.
+
+    Each distinct cell object is rendered and padded once, as in _column_texts.
+    """
+    cells = dict(zip(map(id, column), column))
+    texts = list(map(text, cells.values()))
+    width = max(map(len, [header, *texts]))
+    padded = dict(zip(cells, map(str.ljust, texts, repeat(width))))
+    return header.ljust(width), list(map(padded.__getitem__, map(id, column)))
+
+
+def _table(result: Result, text: Callable[[object], str]) -> str:
+    rows = result.rows
+    width = len(str(len(rows)))
+    head = ["#".ljust(width)]
+    body = [map(str.ljust, map(str, range(1, len(rows) + 1)), repeat(width))]
+    for header, column in zip(result.headers, zip(*rows) if rows else [()] * len(result.headers)):
+        header, cells = _table_column(header.upper(), column, text)
+        head.append(header)
+        body.append(cells)
+    n = result.stats.rows_out
+    return "\n".join(["  ".join(head).rstrip(), *map(str.rstrip, map("  ".join, zip(*body))),
+                      f"({n} row)" if n == 1 else f"({n} rows)"])
+
+
+def _csv(result: Result, text: Callable[[object], str]) -> str:
+    columns = [_column_texts(column, text) for column in zip(*result.rows)]
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(result.headers)
+    writer.writerows(zip(*columns) if columns else [()] * len(result.rows))
+    return out.getvalue().rstrip("\n")
+
+
+def _jsonl(result: Result, text: Callable[[object], str]) -> str:
+    columns = {}  # '"key": ' -> the column's cell texts; a key taken twice keeps its first place, its last column
+    seen = {}  # the n-th repeat of a header (n >= 2) is keyed <header>#n
+    for header, column in zip(result.headers, zip(*result.rows)):
+        seen[header] = n = seen.get(header, 0) + 1
+        key = _json(header if n == 1 else f"{header}#{n}") + ": "
+        columns[key] = _column_texts(column, text, key)
+    lines = zip(*columns.values()) if columns else [()] * len(result.rows)
+    return "\n".join(["{" + ", ".join(line) + "}" for line in lines])
+
+
+# Each format's renderer, called with the function that writes one cell.
+_FORMATS = {"table": _table, "csv": _csv, "jsonl": _jsonl}
 
 
 def format_result(result: Result, fmt: str = "table", locale: str = "dot") -> str:
-    """Render a result as an aligned table, CSV text, or JSON lines."""
-    if fmt == "table":
-        headers = ["#"] + [h.upper() for h in result.headers]
-        grid = [headers]
-        for i, row in enumerate(result.rows, start=1):
-            grid.append([str(i)] + [render_value(cell, locale) for cell in row])
-        widths = [max(len(line[i]) for line in grid) for i in range(len(headers))]
-        lines = ["  ".join(cell.ljust(w) for cell, w in zip(line, widths)).rstrip() for line in grid]
-        n = result.stats.rows_out
-        lines.append(f"({n} row)" if n == 1 else f"({n} rows)")
-        return "\n".join(lines)
-    if fmt == "csv":
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(result.headers)
-        for row in result.rows:
-            writer.writerow([render_value(cell, locale) for cell in row])
-        return out.getvalue().rstrip("\n")
-    if fmt == "jsonl":
-        keys, seen = [], {}  # the n-th repeat of a header (n >= 2) is keyed <header>#n
-        for header in result.headers:
-            seen[header] = n = seen.get(header, 0) + 1
-            keys.append(header if n == 1 else f"{header}#{n}")
-        lines = []
-        for row in result.rows:
-            record = {}
-            for key, cell in zip(keys, row):
-                if isinstance(cell, FuzzyValue):
-                    record[key] = render_value(cell)
-                elif isinstance(cell, float):
-                    record[key] = plain_number(cell)  # the number the other formats print
-                else:
-                    record[key] = cell
-            lines.append(json.dumps(record, ensure_ascii=False))
-        return "\n".join(lines)
-    raise ValueError(f"unknown result format {fmt!r}")
+    """Render a result as an aligned table, CSV text, or JSON lines.
+
+    Each column is rendered on its own, once per distinct cell object, and
+    the lines are joined from the column texts; the text is the one that
+    rendering the rows one by one, cell by cell, gives.  A cell that cannot
+    be rendered (a non-finite plain number) raises the error of the first
+    such cell in row order.  The time taken is set as
+    result.stats.render_seconds.
+    """
+    start = time.perf_counter()
+    render = _FORMATS.get(fmt)
+    if render is None:
+        raise ValueError(f"unknown result format {fmt!r}")
+    comma = locale == "comma" and render is not _jsonl  # jsonl writes its numbers with a dot
+    number = _comma_number if comma else format_number
+    # A cell renders once per distinct object.  The numbers inside fuzzy values
+    # (corners, degrees) also repeat across distinct cells, so they are written
+    # once per distinct value; plain numbers gain nothing from that.
+    text = _cell_text(number, _NumberTexts(number).__getitem__)
+    if render is _jsonl:
+        text = _json_cell(text)
+    try:
+        out = render(result, text)
+    except FuzzyDbError:
+        for row in result.rows:  # raise what the first cell at fault raises
+            list(map(text, row))
+        raise
+    result.stats.render_seconds = time.perf_counter() - start
+    return out

@@ -101,7 +101,8 @@ def tokenize(source: str) -> List[Token]:
             text = source[i:j]
             value = float(text)
             if not math.isfinite(value):
-                raise FsqlSyntaxError(f"number {text[:20]}... is too large", line, start_col)
+                cut = text[:20] + "..." if len(text) > 20 else text
+                raise FsqlSyntaxError(f"number {cut} is too large", line, start_col)
             tokens.append(Token("NUMBER", text, line, start_col, value=value))
             column += j - i
             i = j

@@ -1,6 +1,7 @@
 """Command-line behaviour: exit codes, output routing, catalog editing."""
 
 import io
+import pathlib
 import re
 
 import pytest
@@ -11,6 +12,34 @@ FLAGSHIP = (
     "SELECT cartulina.% FROM cartulina WHERE tono_cara FEQ $blanco THOLD 0.5 "
     "AND tono_reverso FEQ $blanco THOLD 0.5;"
 )
+
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
+
+
+class TestGoldenOutputs:
+    """Byte-identical output on the bundled case study.
+
+    tests/golden/<query>.fsql holds a statement and <query>.<format>.<locale>.txt
+    what `fuzzydb query --format <format> --locale <locale>` printed for it
+    before results were rendered a column at a time.  jsonl has no locale, so
+    its one file serves both.
+    """
+
+    FILES = sorted(GOLDEN.glob("*.txt"))
+
+    def test_every_query_has_every_format(self):
+        assert [p.name for p in self.FILES] == [
+            f"{query}.{form}.txt" for query in ("either_tone", "flagship")
+            for form in ("csv.comma", "csv.dot", "jsonl.dot", "table.comma", "table.dot")]
+
+    @pytest.mark.parametrize("path", FILES, ids=lambda p: p.name)
+    def test_output_matches(self, capsys, path):
+        query, fmt, locale, _ = path.name.split(".")
+        sql = (GOLDEN / f"{query}.fsql").read_text(encoding="utf-8")
+        for locale in ("dot", "comma") if fmt == "jsonl" else (locale,):
+            assert main(["query", sql, "--format", fmt, "--locale", locale]) == 0
+            assert capsys.readouterr().out == path.read_bytes().decode("utf-8")
 
 
 class TestQueryCommand:
@@ -103,6 +132,11 @@ class TestQueryCommand:
         assert main(["query", FLAGSHIP, "--stats"]) == 0
         match = re.search(r"  rows 14 -> 3  decoded (\d+)\n\Z", capsys.readouterr().err)
         assert match and int(match.group(1)) == 14  # each call loads its catalog, so nothing is reused
+
+    def test_stats_show_render_time_right_after_execute(self, capsys):
+        assert main(["query", FLAGSHIP, "--stats"]) == 0
+        assert re.search(r"  compile \d+\.\d\dms  execute \d+\.\d\dms  render (\d+\.\d\d)ms  rows 14 -> 3  ",
+                         capsys.readouterr().err)
 
     def test_default_threshold_flag(self, capsys):
         sql = "SELECT cod_carti FROM cartulina WHERE tono_cara FEQ $blanco"

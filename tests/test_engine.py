@@ -3,6 +3,7 @@
 import copy
 import csv
 import gc
+import io
 import json
 import math
 import os
@@ -41,7 +42,7 @@ from fuzzydb import (
     save_table,
 )
 from fuzzydb import engine
-from fuzzydb.core import ValueKind
+from fuzzydb.core import ValueKind, plain_number
 from fuzzydb.fsql.compiler import CompiledCondition, PhysicalColumn
 from fuzzydb.fsql.parser import And
 
@@ -635,6 +636,33 @@ class TestSaveTable:
         with pytest.raises(FuzzyDbError, match=re.escape(message)):
             format_cell(value, table.schema[slot])
 
+    def test_error_names_the_line_the_loader_would_name(self, tmp_path, case_catalog):
+        schema = case_catalog.table_schema("personas")
+        null = FuzzyValue.null()
+        table = Table("personas", schema, [["Ana\nMaria", null, null], ["Luis", null, 0.5]])
+        path = tmp_path / "p.csv"
+        with pytest.raises(ConversionError) as err:
+            save_table(table, path)
+        assert str(err.value) == f"{path}:4: column pelo: personas.pelo holds fuzzy values, got 0.5"
+        table.rows[1][2] = null
+        save_table(table, path)
+        path.write_text(path.read_text().replace("Luis,2,2", "Luis,2,0.5"))
+        with pytest.raises(DataFileError, match=f"^{re.escape(str(path))}:4: column pelo: "):
+            load_table(path, "personas", case_catalog)
+
+    def test_line_breaks_of_every_kind_count(self, tmp_path, case_catalog):
+        schema = case_catalog.table_schema("personas")
+        null = FuzzyValue.null()
+        table = Table("personas", schema, [["a\r\nb\rc\nd", null, null], ["e", null, null, null]])
+        path = tmp_path / "p.csv"
+        with pytest.raises(ConversionError, match=re.escape("p.csv:6: expected 3 cells, found 4")):
+            save_table(table, path)
+        table.rows[1].pop()
+        save_table(table, path)
+        path.write_bytes(path.read_bytes().replace(b"e,2,2", b"e,2,0.5"))
+        with pytest.raises(DataFileError, match=f"^{re.escape(str(path))}:6: column pelo: "):
+            load_table(path, "personas", case_catalog)
+
     def test_row_of_another_width_is_refused(self, tmp_path, case_tables):
         table = case_tables["personas"]
         table.rows[1] = table.rows[1][:2]
@@ -1099,7 +1127,161 @@ class TestReloadReuse:
         return result.headers, result.rows
 
 
+def oracle_render(value, locale="dot"):
+    """render_value as it was before the kind table: a branch per kind, numbers localized one by one."""
+    def number(x):
+        text = format_number(x)
+        return text.replace(".", ",") if locale == "comma" else text
+
+    if not isinstance(value, FuzzyValue):
+        return value if isinstance(value, str) else number(value)
+    k = value.kind
+    if k is ValueKind.UNKNOWN:
+        return "UNKNOWN"
+    if k is ValueKind.UNDEFINED:
+        return "UNDEFINED"
+    if k is ValueKind.NULL:
+        return "NULL"
+    if k is ValueKind.CRISP:
+        return number(value.number)
+    if k is ValueKind.LABEL:
+        return f"${value.name}"
+    if k is ValueKind.INTERVAL:
+        return f"[{number(value.low)}, {number(value.high)}]"
+    if k is ValueKind.APPROX:
+        return f"#{number(value.number)}~{number(value.margin)}"
+    if k is ValueKind.TRAPEZOID:
+        return f"$[{', '.join(number(x) for x in value.trap.corners())}]"
+    return ", ".join(f"{number(p)}/{e if isinstance(e, str) else number(e)}" for p, e in value.pairs)
+
+
+def oracle_format(result, fmt="table", locale="dot"):
+    """format_result as it was before it went a column at a time: row by row, cell by cell."""
+    if fmt == "table":
+        headers = ["#"] + [h.upper() for h in result.headers]
+        grid = [headers]
+        for i, row in enumerate(result.rows, start=1):
+            grid.append([str(i)] + [oracle_render(cell, locale) for cell in row])
+        widths = [max(len(line[i]) for line in grid) for i in range(len(headers))]
+        lines = ["  ".join(cell.ljust(w) for cell, w in zip(line, widths)).rstrip() for line in grid]
+        n = result.stats.rows_out
+        lines.append(f"({n} row)" if n == 1 else f"({n} rows)")
+        return "\n".join(lines)
+    if fmt == "csv":
+        out = io.StringIO()
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(result.headers)
+        for row in result.rows:
+            writer.writerow([oracle_render(cell, locale) for cell in row])
+        return out.getvalue().rstrip("\n")
+    keys, seen = [], {}
+    for header in result.headers:
+        seen[header] = n = seen.get(header, 0) + 1
+        keys.append(header if n == 1 else f"{header}#{n}")
+    lines = []
+    for row in result.rows:
+        record = {}
+        for key, cell in zip(keys, row):
+            if isinstance(cell, FuzzyValue):
+                record[key] = oracle_render(cell)
+            elif isinstance(cell, float):
+                record[key] = plain_number(cell)
+            else:
+                record[key] = cell
+        lines.append(json.dumps(record, ensure_ascii=False))
+    return "\n".join(lines)
+
+
+# Label names and scalar elements with '.', which no locale may touch, and non-ASCII letters.
+RESULT_NAMES = st.sampled_from(["blanco", "a.b", "ñandú", "x.5"])
+RESULT_VALUES = st.one_of(
+    SPECIALS,
+    NUMBERS.map(FuzzyValue.crisp),
+    RESULT_NAMES.map(FuzzyValue.label),
+    st.tuples(NUMBERS, NUMBERS).filter(lambda t: t[0] < t[1]).map(lambda t: FuzzyValue.interval(*t)),
+    st.tuples(NUMBERS, NUMBERS).filter(lambda t: _approx_fits(*t)).map(lambda t: FuzzyValue.approx(*t)),
+    st.lists(NUMBERS, min_size=4, max_size=4).map(sorted).map(lambda c: FuzzyValue.trapezoid(*c)),
+    st.tuples(DEGREES, RESULT_NAMES).map(lambda p: FuzzyValue.simple(*p)),
+    st.lists(st.tuples(DEGREES, RESULT_NAMES), min_size=1, max_size=3, unique_by=lambda p: p[1])
+    .map(FuzzyValue.poss_dist),
+    st.lists(st.tuples(DEGREES, NUMBERS), min_size=1, max_size=3, unique_by=lambda p: p[1])
+    .map(FuzzyValue.poss_dist),
+    # plain cells: equal numbers that render apart, and text that csv must quote
+    st.sampled_from([0.0, -0.0, 1, 1.0, True, False, 0, 2 ** 60, 0.5, "", "x", "ñ, \"a\"\n"]),
+    NUMBERS,
+    st.integers(),
+    st.text(max_size=4),
+)
+# Equal cells that render differently, which a memo keyed by value would merge.
+APART = st.sampled_from([(0.0, -0.0), (1, True), (0, False), (1.0, True),
+                         (FuzzyValue.crisp(0.0), FuzzyValue.crisp(-0.0))])
+# A header pool that repeats, and one header that a repeat's jsonl key (a#2) collides with.
+RESULT_HEADERS = st.sampled_from(["a", "a#2", "CDEG(tono_cara)", "ñandú", "Größe"])
+
+
 class TestRendering:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_matches_row_at_a_time(self, data):
+        width = data.draw(st.integers(1, 5))
+        # a small pool of cell objects that rows and columns share, as execute's results share them
+        pool = data.draw(st.lists(RESULT_VALUES, min_size=1, max_size=5))
+        cell = st.one_of(st.sampled_from(pool), st.sampled_from(pool).map(twin), RESULT_VALUES)
+        rows = data.draw(st.lists(st.lists(cell, min_size=width, max_size=width), max_size=8))
+        i, j, c = data.draw(st.tuples(st.integers(0, 7), st.integers(0, 7), st.integers(0, 4)))
+        if len(rows) > 1 and i % len(rows) != j % len(rows):  # a pair of APART in one column
+            rows[i % len(rows)][c % width], rows[j % len(rows)][c % width] = data.draw(APART)
+        faults = data.draw(st.lists(st.tuples(st.integers(0, 7), st.integers(0, 4)), max_size=3))
+        for (r, c), bad in zip(faults, [math.nan, math.inf, -math.inf]):
+            if rows:  # non-finite plain cells, which no format can write, each with its own message
+                rows[r % len(rows)][c % width] = bad
+        headers = data.draw(st.lists(RESULT_HEADERS, min_size=width, max_size=width))
+        result = Result(headers, rows, ExecutionStats(rows_out=len(rows)))
+        fmt = data.draw(st.sampled_from(["table", "csv", "jsonl"]))
+        locale = data.draw(st.sampled_from(["dot", "comma"]))
+        assert self.outcome(format_result, result, fmt, locale) == \
+            self.outcome(oracle_format, result, fmt, locale)
+        for value in (c for row in rows for c in row):
+            assert self.outcome(render_value, value, locale) == self.outcome(oracle_render, value, locale)
+
+    @staticmethod
+    def outcome(fn, *args):
+        try:
+            return fn(*args)
+        except FuzzyDbError as exc:
+            return type(exc), str(exc)
+
+    def test_equal_cells_that_render_differently_stay_apart(self):
+        # equal as values, apart as objects: a memo keyed by value would merge them
+        zero = FuzzyValue.crisp(0.0)
+        cells = [[0.0, zero, 1], [-0.0, FuzzyValue.crisp(-0.0), True], [0.0, zero, 1.0]]
+        result = Result(["x", "y", "z"], cells, ExecutionStats(rows_out=3))
+        assert format_result(result, "csv") == "x,y,z\n0,0,1\n-0.0,-0.0,1\n0,0,1"
+        assert format_result(result, "jsonl").splitlines() == [
+            '{"x": 0, "y": "0", "z": 1}', '{"x": -0.0, "y": "-0.0", "z": true}',
+            '{"x": 0, "y": "0", "z": 1}']
+        for fmt in ("table", "csv", "jsonl"):
+            assert format_result(result, fmt) == oracle_format(result, fmt)
+
+    def test_jsonl_key_taken_twice_keeps_its_first_place_and_last_cell(self):
+        # 'a' again is keyed a#2, which a header already is; json.dumps of the record merged them
+        result = Result(["a", "a#2", "a", "b"], [[1, 2, 3, 4]], ExecutionStats(rows_out=1))
+        assert format_result(result, "jsonl") == '{"a": 1, "a#2": 3, "b": 4}'
+
+    def test_first_cell_at_fault_in_row_order_is_named(self):
+        result = Result(["x", "y"], [[1.0, math.nan], [math.inf, 2.0]], ExecutionStats(rows_out=2))
+        for fmt in ("table", "csv", "jsonl"):
+            with pytest.raises(FuzzyDbError, match="^expected a finite number, got nan$"):
+                format_result(result, fmt)
+
+    def test_render_time_is_kept_apart_from_the_total(self, case_catalog, case_tables):
+        result = run_query(FLAGSHIP, case_catalog, tables=case_tables)
+        total = result.stats.total_seconds
+        assert result.stats.render_seconds == 0.0
+        format_result(result)
+        assert result.stats.render_seconds > 0.0
+        assert result.stats.total_seconds == total
+
     def test_render_value_variants(self):
         assert render_value(FuzzyValue.unknown()) == "UNKNOWN"
         assert render_value(FuzzyValue.undefined()) == "UNDEFINED"

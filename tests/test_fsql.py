@@ -73,6 +73,17 @@ class TestLexer:
         assert "too large" in str(err.value)
         assert "1:7" in str(err.value)
 
+    @pytest.mark.parametrize("number, shown", [
+        ("1e999", "1e999"),  # nothing cut, nothing marked
+        ("1" + "0" * 15 + "e999", "1" + "0" * 15 + "e999"),  # 20 characters
+        ("1" + "0" * 16 + "e999", "1" + "0" * 16 + "e99..."),
+        ("1" + "0" * 400, "1" + "0" * 19 + "..."),
+    ])
+    def test_overflow_message_marks_only_a_cut_number(self, number, shown):
+        with pytest.raises(FsqlSyntaxError) as err:
+            tokenize("x FEQ " + number)
+        assert str(err.value) == f"number {shown} is too large at 1:7"
+
     @pytest.mark.parametrize("text, column", [
         ("x FEQ \u00b2", 7),  # superscript two
         ("x FEQ \u0663\u0660", 7),  # Arabic-Indic thirty
