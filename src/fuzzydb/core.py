@@ -48,22 +48,6 @@ def format_number(x: float) -> str:
     return repr(x)
 
 
-def plain_number(x: float):
-    """The number format_number writes: an int when it writes no fraction, else the float.
-
-    format_number keeps its own copy of the rule, as a call would slow the
-    text formats; the tests check that repr(plain_number(x)) == format_number(x).
-    """
-    x = float(x)
-    try:
-        whole = int(x)
-    except (OverflowError, ValueError):
-        raise FuzzyValueError(f"expected a finite number, got {x!r}") from None
-    if x == whole and abs(x) < 1e16 and (x or math.copysign(1.0, x) > 0):
-        return whole
-    return x
-
-
 def fold_name(name: str) -> str:
     """Canonical key for case-insensitive label and element matching."""
     return name.casefold()

@@ -46,7 +46,7 @@ from .catalog import (
     cell_encoder,
     parse_number,
 )
-from .core import FuzzyValue, ValueKind, feq, fold_name, format_number, plain_number
+from .core import FuzzyValue, ValueKind, feq, fold_name, format_number
 from .errors import ConversionError, DataFileError, FuzzyDbError, undecodable_line
 from .fsql.compiler import (
     CompiledCondition,
@@ -562,9 +562,9 @@ def _json_cell(text: Callable[[object], str]) -> Callable[[object], str]:
         if isinstance(cell, FuzzyValue):
             return _json(text(cell))
         if isinstance(cell, float):
-            cell = plain_number(cell)
-        # json writes an int, and a finite float, as its repr; encode is slower on numbers
-        return repr(cell) if type(cell) is int or type(cell) is float else _json(cell)
+            return format_number(cell)  # valid JSON, and the number the other formats print
+        # json writes an int as its repr; encode is slower on numbers
+        return repr(cell) if type(cell) is int else _json(cell)
 
     return json_cell
 
@@ -603,7 +603,7 @@ def _table(result: Result, text: Callable[[object], str]) -> str:
         header, cells = _table_column(header.upper(), column, text)
         head.append(header)
         body.append(cells)
-    n = result.stats.rows_out
+    n = len(rows)
     return "\n".join(["  ".join(head).rstrip(), *map(str.rstrip, map("  ".join, zip(*body))),
                       f"({n} row)" if n == 1 else f"({n} rows)"])
 

@@ -1,8 +1,28 @@
-"""Tokenizer for the FSQL query language."""
+"""Tokenizer for the FSQL query language.
+
+One master pattern splits the text; each token is the first of these shapes
+that matches where the last one ended:
+
+- white space (str.isspace) separates tokens.  Only '\\n' starts a new line;
+  every other character, '\\r' and '\\t' included, is one column.
+- a NUMBER is unsigned and written in ASCII digits: '26', '0.5', with an
+  optional exponent ('1e-05', '2.5E+16').  A '.' or an 'e' with no digit after
+  it is not part of the number, so '1e' is the number 1 and the word 'e'.  A
+  number too large for a float is an error at its first digit.
+- a word is a letter or '_' (str.isalpha) followed by letters, digits and
+  '_' (str.isalnum).  A keyword, in any case, is its upper case spelling as
+  the token kind; any other word is an IDENT.
+- a LABEL is '$' immediately followed by a word; the token's text drops the '$'.
+  A '$' with no word after it is an error.
+- one of . , % ( ) ; is a punctuation token named in _PUNCT.
+
+Any other character is an error at its position.  Positions are 1-based.
+"""
 
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from typing import List, Optional
 
@@ -10,14 +30,19 @@ from ..errors import FsqlSyntaxError
 
 KEYWORDS = frozenset({"SELECT", "FROM", "WHERE", "AND", "OR", "FEQ", "THOLD", "CDEG"})
 
-_PUNCT = {
-    ".": "DOT",
-    ",": "COMMA",
-    "%": "PERCENT",
-    "(": "LPAREN",
-    ")": "RPAREN",
-    ";": "SEMI",
-}
+_PUNCT = {".": "DOT", ",": "COMMA", "%": "PERCENT", "(": "LPAREN", ")": "RPAREN", ";": "SEMI"}
+
+# \s is exactly str.isspace and \w exactly str.isalnum or '_'; \d would take '٣', so [0-9].
+# A word or label that starts with a digit-like \w ('²', 'Ⅷ') is refused in tokenize.
+_MASTER = re.compile(
+    r"""(?P<SPACE>\s+)
+      | (?P<NUMBER>[0-9]+(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?)
+      | (?P<WORD>\w+)
+      | (?P<LABEL>\$\w*)
+      | (?P<PUNCT>[.,%();])
+      | (?P<OTHER>.)""",
+    re.VERBOSE | re.DOTALL,
+)
 
 
 @dataclass(frozen=True)
@@ -36,93 +61,33 @@ class Token:
         return f"{self.text!r}"
 
 
-def _is_ident_start(c: str) -> bool:
-    return c.isalpha() or c == "_"
-
-
-def _is_ident_char(c: str) -> bool:
-    return c.isalnum() or c == "_"
-
-
-def _is_digit(c: str) -> bool:
-    # str.isdigit also takes '²' and '٣', which float() rejects or reads as 3
-    return "0" <= c <= "9"
-
-
 def tokenize(source: str) -> List[Token]:
-    """Split source into tokens, ending with an EOF marker.
-
-    Keywords are case-insensitive and come back with their canonical upper
-    case spelling as the token kind. Numbers are unsigned decimals written
-    in ASCII digits, with an optional exponent (1e-05, 2.5E+16); labels are '$' immediately followed by an identifier.
-    """
+    """Split source into tokens by the rules in the module docstring, ending with an EOF marker."""
     tokens = []
-    i = 0
-    line = 1
-    column = 1
-    n = len(source)
-    while i < n:
-        c = source[i]
-        if c == "\n":
-            i += 1
-            line += 1
-            column = 1
-            continue
-        if c.isspace():
-            i += 1
-            column += 1
-            continue
-        start_col = column
-        if _is_ident_start(c):
-            j = i + 1
-            while j < n and _is_ident_char(source[j]):
-                j += 1
-            word = source[i:j]
-            upper = word.upper()
-            kind = upper if upper in KEYWORDS else "IDENT"
-            tokens.append(Token(kind, word, line, start_col))
-            column += j - i
-            i = j
-            continue
-        if _is_digit(c):
-            j = i + 1
-            while j < n and _is_digit(source[j]):
-                j += 1
-            if j < n - 1 and source[j] == "." and _is_digit(source[j + 1]):
-                j += 2
-                while j < n and _is_digit(source[j]):
-                    j += 1
-            if source[j : j + 1] in ("e", "E"):
-                k = j + 2 if source[j + 1 : j + 2] in ("+", "-") else j + 1
-                if k < n and _is_digit(source[k]):  # else 'e' is not part of the number
-                    j = k + 1
-                    while j < n and _is_digit(source[j]):
-                        j += 1
-            text = source[i:j]
+    line, line_start = 1, 0  # line_start: the offset just after the last '\n'
+    for m in _MASTER.finditer(source):
+        kind, text, start = m.lastgroup, m.group(), m.start()
+        column = start - line_start + 1
+        if kind == "SPACE":
+            if "\n" in text:
+                line += text.count("\n")
+                line_start = start + text.rindex("\n") + 1
+        elif kind == "NUMBER":
             value = float(text)
             if not math.isfinite(value):
                 cut = text[:20] + "..." if len(text) > 20 else text
-                raise FsqlSyntaxError(f"number {cut} is too large", line, start_col)
-            tokens.append(Token("NUMBER", text, line, start_col, value=value))
-            column += j - i
-            i = j
-            continue
-        if c == "$":
-            j = i + 1
-            if j >= n or not _is_ident_start(source[j]):
-                raise FsqlSyntaxError("'$' must be followed by a label name", line, start_col)
-            j += 1
-            while j < n and _is_ident_char(source[j]):
-                j += 1
-            tokens.append(Token("LABEL", source[i + 1 : j], line, start_col))
-            column += j - i
-            i = j
-            continue
-        if c in _PUNCT:
-            tokens.append(Token(_PUNCT[c], c, line, start_col))
-            i += 1
-            column += 1
-            continue
-        raise FsqlSyntaxError(f"unexpected character {c!r}", line, start_col)
-    tokens.append(Token("EOF", "", line, column))
+                raise FsqlSyntaxError(f"number {cut} is too large", line, column)
+            tokens.append(Token("NUMBER", text, line, column, value=value))
+        elif kind == "WORD" and (text[0].isalpha() or text[0] == "_"):
+            upper = text.upper()
+            tokens.append(Token(upper if upper in KEYWORDS else "IDENT", text, line, column))
+        elif kind == "LABEL":
+            if not (text[1:2].isalpha() or text[1:2] == "_"):
+                raise FsqlSyntaxError("'$' must be followed by a label name", line, column)
+            tokens.append(Token("LABEL", text[1:], line, column))
+        elif kind == "PUNCT":
+            tokens.append(Token(_PUNCT[text], text, line, column))
+        else:  # OTHER, or a word that starts with a digit-like character
+            raise FsqlSyntaxError(f"unexpected character {text[0]!r}", line, column)
+    tokens.append(Token("EOF", "", line, len(source) - line_start + 1))
     return tokens

@@ -23,6 +23,7 @@ from fuzzydb import (
     FuzzyDbError,
     FuzzyType,
     FuzzyValue,
+    FuzzyValueError,
     Result,
     Table,
     case_study_dir,
@@ -42,7 +43,7 @@ from fuzzydb import (
     save_table,
 )
 from fuzzydb import engine
-from fuzzydb.core import ValueKind, plain_number
+from fuzzydb.core import ValueKind
 from fuzzydb.fsql.compiler import CompiledCondition, PhysicalColumn
 from fuzzydb.fsql.parser import And
 
@@ -1155,6 +1156,18 @@ def oracle_render(value, locale="dot"):
     return ", ".join(f"{number(p)}/{e if isinstance(e, str) else number(e)}" for p, e in value.pairs)
 
 
+def oracle_plain_number(x):
+    """The number format_number writes: an int when it writes no fraction, else the float."""
+    x = float(x)
+    try:
+        whole = int(x)
+    except (OverflowError, ValueError):
+        raise FuzzyValueError(f"expected a finite number, got {x!r}") from None
+    if x == whole and abs(x) < 1e16 and (x or math.copysign(1.0, x) > 0):
+        return whole
+    return x
+
+
 def oracle_format(result, fmt="table", locale="dot"):
     """format_result as it was before it went a column at a time: row by row, cell by cell."""
     if fmt == "table":
@@ -1164,7 +1177,7 @@ def oracle_format(result, fmt="table", locale="dot"):
             grid.append([str(i)] + [oracle_render(cell, locale) for cell in row])
         widths = [max(len(line[i]) for line in grid) for i in range(len(headers))]
         lines = ["  ".join(cell.ljust(w) for cell, w in zip(line, widths)).rstrip() for line in grid]
-        n = result.stats.rows_out
+        n = len(result.rows)
         lines.append(f"({n} row)" if n == 1 else f"({n} rows)")
         return "\n".join(lines)
     if fmt == "csv":
@@ -1185,7 +1198,7 @@ def oracle_format(result, fmt="table", locale="dot"):
             if isinstance(cell, FuzzyValue):
                 record[key] = oracle_render(cell)
             elif isinstance(cell, float):
-                record[key] = plain_number(cell)
+                record[key] = oracle_plain_number(cell)
             else:
                 record[key] = cell
         lines.append(json.dumps(record, ensure_ascii=False))
@@ -1250,6 +1263,15 @@ class TestRendering:
             return fn(*args)
         except FuzzyDbError as exc:
             return type(exc), str(exc)
+
+    @given(st.one_of(st.sampled_from([0.0, -0.0, 1e16, -1e16, 9999999999999998.0, 1e300]),
+                     st.floats(allow_nan=False, allow_infinity=False)))
+    def test_oracle_plain_number_is_the_number_format_number_writes(self, x):
+        assert repr(oracle_plain_number(x)) == format_number(x)
+
+    def test_count_line_counts_the_rows_printed_not_the_stats(self):
+        result = Result(["x"], [[1]], ExecutionStats())
+        assert format_result(result) == oracle_format(result) == "#  X\n1  1\n(1 row)"
 
     def test_equal_cells_that_render_differently_stay_apart(self):
         # equal as values, apart as objects: a memo keyed by value would merge them

@@ -5,9 +5,16 @@ import math
 import re
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from fuzzydb import CompileError, FsqlSyntaxError, compile_query, parse_query, render_query
+from fuzzydb import (
+    CompileError,
+    FsqlSyntaxError,
+    compile_query,
+    format_number,
+    parse_query,
+    render_query,
+)
 from fuzzydb.fsql import (
     And,
     CdegItem,
@@ -21,11 +28,146 @@ from fuzzydb.fsql import (
     Wildcard,
     tokenize,
 )
+from fuzzydb.fsql.lexer import KEYWORDS, Token
 
 FLAGSHIP = (
     "SELECT cartulina.% FROM cartulina WHERE tono_cara FEQ $blanco THOLD 0.5 "
     "and tono_reverso FEQ $blanco THOLD 0.5;"
 )
+
+
+def oracle_tokenize(source):
+    """tokenize as it was before the master pattern: a loop over the text a character at a time."""
+    punct = {".": "DOT", ",": "COMMA", "%": "PERCENT", "(": "LPAREN", ")": "RPAREN", ";": "SEMI"}
+
+    def ident_start(c):
+        return c.isalpha() or c == "_"
+
+    def ident_char(c):
+        return c.isalnum() or c == "_"
+
+    def digit(c):
+        return "0" <= c <= "9"
+
+    tokens = []
+    i = 0
+    line = 1
+    column = 1
+    n = len(source)
+    while i < n:
+        c = source[i]
+        if c == "\n":
+            i += 1
+            line += 1
+            column = 1
+            continue
+        if c.isspace():
+            i += 1
+            column += 1
+            continue
+        start_col = column
+        if ident_start(c):
+            j = i + 1
+            while j < n and ident_char(source[j]):
+                j += 1
+            word = source[i:j]
+            upper = word.upper()
+            kind = upper if upper in KEYWORDS else "IDENT"
+            tokens.append(Token(kind, word, line, start_col))
+            column += j - i
+            i = j
+            continue
+        if digit(c):
+            j = i + 1
+            while j < n and digit(source[j]):
+                j += 1
+            if j < n - 1 and source[j] == "." and digit(source[j + 1]):
+                j += 2
+                while j < n and digit(source[j]):
+                    j += 1
+            if source[j : j + 1] in ("e", "E"):
+                k = j + 2 if source[j + 1 : j + 2] in ("+", "-") else j + 1
+                if k < n and digit(source[k]):  # else 'e' is not part of the number
+                    j = k + 1
+                    while j < n and digit(source[j]):
+                        j += 1
+            text = source[i:j]
+            value = float(text)
+            if not math.isfinite(value):
+                cut = text[:20] + "..." if len(text) > 20 else text
+                raise FsqlSyntaxError(f"number {cut} is too large", line, start_col)
+            tokens.append(Token("NUMBER", text, line, start_col, value=value))
+            column += j - i
+            i = j
+            continue
+        if c == "$":
+            j = i + 1
+            if j >= n or not ident_start(source[j]):
+                raise FsqlSyntaxError("'$' must be followed by a label name", line, start_col)
+            j += 1
+            while j < n and ident_char(source[j]):
+                j += 1
+            tokens.append(Token("LABEL", source[i + 1 : j], line, start_col))
+            column += j - i
+            i = j
+            continue
+        if c in punct:
+            tokens.append(Token(punct[c], c, line, start_col))
+            i += 1
+            column += 1
+            continue
+        raise FsqlSyntaxError(f"unexpected character {c!r}", line, start_col)
+    tokens.append(Token("EOF", "", line, column))
+    return tokens
+
+
+def lexed(tokenizer, text):
+    """The (kind, text, line, column, value) of each token, or the syntax error's message."""
+    try:
+        return [(t.kind, t.text, t.line, t.column, t.value) for t in tokenizer(text)]
+    except FsqlSyntaxError as exc:
+        return str(exc)
+
+
+def mixed_case(word):
+    return st.lists(st.booleans(), min_size=len(word), max_size=len(word)).map(
+        lambda ups: "".join(c.upper() if up else c.lower() for c, up in zip(word, ups)))
+
+
+# Pieces of FSQL text: letters and digits, every punctuation mark and a few strays, the
+# separators, characters that \d or \w take but a number or word must not start with, and
+# whole keywords, numbers and runs of separators.
+LEXER_PIECES = st.one_of(
+    st.sampled_from([*"abxyzABXYZ_eE0123456789", *".,%();$+-!", *"\n\r\t\xa0 ", *"²٣Ⅷéß"]),
+    st.sampled_from(sorted(KEYWORDS)).flatmap(mixed_case),
+    st.sampled_from(["1e5", "2.5E+3", "1e999", "\r\n", "\n \n"]),
+)
+# The (kind, text, rendering) of a token that a stream renders.
+WORD_START = "abeEzXY_éß"
+WORD_REST = WORD_START + "0123456789²٣Ⅷ"
+WORDS = st.builds(lambda a, b: a + b, st.text(WORD_START, min_size=1, max_size=1),
+                  st.text(WORD_REST, max_size=5))
+STREAM_TOKENS = st.one_of(
+    WORDS.map(lambda w: (w.upper() if w.upper() in KEYWORDS else "IDENT", w, w)),
+    st.sampled_from(sorted(KEYWORDS)).flatmap(mixed_case).map(lambda w: (w.upper(), w, w)),
+    WORDS.map(lambda w: ("LABEL", w, "$" + w)),
+    st.one_of(st.floats(0, allow_infinity=False).map(abs).map(format_number),
+              st.sampled_from(["007", "0.50", "1e5", "2.5E+3", "7e-05", "1E0"]))
+    .map(lambda n: ("NUMBER", n, n)),
+    st.sampled_from([("DOT", "."), ("COMMA", ","), ("PERCENT", "%"), ("LPAREN", "("),
+                     ("RPAREN", ")"), ("SEMI", ";")]).map(lambda p: (p[0], p[1], p[1])),
+)
+
+
+def separators(min_size):
+    """Runs of white space that tokenize skips, '\r\n' and the no-break space included."""
+    return st.lists(st.sampled_from(["\n", "\r", "\t", "\xa0", " ", "\r\n"]),
+                    min_size=min_size, max_size=3).map("".join)
+
+
+# Tails that no token takes, and the message each one fails with.
+BAD_TAILS = st.sampled_from([(c, f"unexpected character {c!r}") for c in "!+²٣Ⅷ"]
+                            + [("$" + c, "'$' must be followed by a label name") for c in " ²٣1"])
 
 
 class TestLexer:
@@ -109,6 +251,35 @@ class TestLexer:
             tokenize("SELECT a FROM t WHERE x ! 1")
         assert "'!'" in str(err.value)
         assert "1:25" in str(err.value)
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.lists(LEXER_PIECES, max_size=30).map("".join))
+    def test_matches_the_character_loop(self, text):
+        assert lexed(tokenize, text) == lexed(oracle_tokenize, text)
+
+    @settings(max_examples=300, deadline=None)
+    @given(stream=st.lists(STREAM_TOKENS, max_size=12), data=st.data())
+    def test_rendered_token_streams_lex_back(self, stream, data):
+        """Tokens joined by separators lex back to the same kinds, texts and positions; a tail
+        that no token takes fails at its own position."""
+        tail = data.draw(st.none() | BAD_TAILS)
+        text, expected, line, column, previous = "", [], 1, 1, None
+        for kind, token_text, rendered in [*stream, ("TAIL", "", tail[0])] if tail else stream:
+            # two tokens may touch only when one of them is punctuation other than '.'
+            touching = previous is None or previous in ",%();" or rendered in ",%();"
+            separator = data.draw(separators(0 if touching else 1))
+            for c in separator:
+                line, column = (line + 1, 1) if c == "\n" else (line, column + 1)
+            value = float(token_text) if kind == "NUMBER" else None
+            expected.append((kind, token_text, line, column, value))
+            text += separator + rendered
+            column += len(rendered)
+            previous = rendered
+        if tail:
+            _, _, line, column, _ = expected[-1]
+            assert lexed(tokenize, text) == f"{tail[1]} at {line}:{column}"
+        else:
+            assert lexed(tokenize, text) == [*expected, ("EOF", "", line, column, None)]
 
 
 class TestParser:
