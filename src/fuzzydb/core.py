@@ -3,6 +3,13 @@
 This module is self-contained and purely functional: every operation maps
 immutable inputs to a result without touching shared state, so it is safe to
 call from any number of concurrent workers.
+
+It is the one statement of the comparison calculus.  On an ordered domain
+FEQ is the possibility measure sup-min of two trapezoids, in closed form on
+their four corners (possibility_eq_corners); value_corners and
+number_corners reduce a value to corners by its kind, with no Trapezoid
+built.  possibility_eq and feq are thin wrappers over these, and so is the
+engine's per-column kernel for ordered conditions, so the two cannot drift.
 """
 
 from __future__ import annotations
@@ -108,6 +115,11 @@ class ValueKind(enum.Enum):
     POSS_DIST = "poss_dist"
 
 
+# The members value_corners tests, bound once: looking a member up on the
+# class goes through the enum machinery, about 0.13 us a time.
+_CRISP, _LABEL, _INTERVAL, _APPROX, _TRAPEZOID = (
+    ValueKind.CRISP, ValueKind.LABEL, ValueKind.INTERVAL, ValueKind.APPROX, ValueKind.TRAPEZOID)
+
 # Kinds reducible to a trapezoid on an ordered domain.
 ORDERED_KINDS = frozenset(
     {ValueKind.CRISP, ValueKind.LABEL, ValueKind.INTERVAL, ValueKind.APPROX, ValueKind.TRAPEZOID}
@@ -139,8 +151,7 @@ class FuzzyValue:
         if k is ValueKind.CRISP:
             if self.number is None:
                 raise FuzzyValueError("crisp value requires a number")
-            if not -_INF < self.number < _INF:
-                raise FuzzyValueError(f"crisp value must be a finite number, got {self.number!r}")
+            _check_finite(self.number, "crisp value")
         elif k is ValueKind.LABEL:
             if not self.name:
                 raise FuzzyValueError("label value requires a name")
@@ -237,30 +248,81 @@ def _check_pair_elements(pairs: Tuple[PossPair, ...]) -> None:
 
 ResolveLabel = Callable[[str], Trapezoid]
 
+# A trapezoid's four corners (a, b, c, d), as the closed forms below take them.
+Corners = Tuple[float, float, float, float]
 
-def to_trapezoid(value: FuzzyValue, resolve: Optional[ResolveLabel] = None) -> Trapezoid:
-    """Normalize an ordered-domain value to its trapezoid form.
 
-    Crisp d becomes the point (d, d, d, d); an interval [n, m] the crisp band
+def _resolve_label(value: FuzzyValue, resolve: Optional[ResolveLabel]) -> Trapezoid:
+    if resolve is None:
+        raise FuzzyValueError(f"no label resolver available for {value.name!r}")
+    return resolve(value.name)
+
+
+def value_corners(value: FuzzyValue, resolve: Optional[ResolveLabel] = None) -> Corners:
+    """The corners of an ordered-domain value's trapezoid, with no Trapezoid built.
+
+    Crisp d is the point (d, d, d, d); an interval [n, m] the crisp band
     (n, n, m, m); an approximate d +/- g the triangle (d-g, d, d, d+g).  Labels
-    are looked up through the resolve callback.
+    are looked up through the resolve callback.  Any other kind raises a
+    FuzzyValueError.
     """
     k = value.kind
-    if k is ValueKind.TRAPEZOID:
-        return value.trap
-    if k is ValueKind.CRISP:
+    if k is _CRISP:
         d = value.number
-        return Trapezoid(d, d, d, d)
-    if k is ValueKind.INTERVAL:
-        return Trapezoid(value.low, value.low, value.high, value.high)
-    if k is ValueKind.APPROX:
+        return (d, d, d, d)
+    if k is _INTERVAL:
+        low, high = value.low, value.high
+        return (low, low, high, high)
+    if k is _APPROX:
         d, g = value.number, value.margin
-        return Trapezoid(d - g, d, d, d + g)
-    if k is ValueKind.LABEL:
-        if resolve is None:
-            raise FuzzyValueError(f"no label resolver available for {value.name!r}")
-        return resolve(value.name)
-    raise FuzzyValueError(f"value of kind {k.value} cannot be reduced to a trapezoid")
+        return (d - g, d, d, d + g)
+    if k is _TRAPEZOID:
+        t = value.trap
+    elif k is _LABEL:
+        t = _resolve_label(value, resolve)
+    else:
+        raise FuzzyValueError(f"value of kind {k.value} cannot be reduced to a trapezoid")
+    return (t.a, t.b, t.c, t.d)
+
+
+def number_corners(x: float) -> Corners:
+    """The point (x, x, x, x) of a plain number x, which must be finite as FuzzyValue.crisp's."""
+    x = float(x)
+    _check_finite(x, "crisp value")
+    return (x, x, x, x)
+
+
+def to_trapezoid(value: FuzzyValue, resolve: Optional[ResolveLabel] = None) -> Trapezoid:
+    """Normalize an ordered-domain value to its trapezoid form, by value_corners' rule.
+
+    A trapezoid value gives its own Trapezoid and a label the one resolve returns.
+    """
+    if value.kind is _TRAPEZOID:
+        return value.trap
+    if value.kind is _LABEL:
+        return _resolve_label(value, resolve)
+    return Trapezoid(*value_corners(value))
+
+
+def possibility_eq_corners(p: Corners, q: Corners) -> Degree:
+    """possibility_eq of the trapezoids with corners p and q; the only copy of its closed form."""
+    a1, b1, c1, d1 = p
+    a2, b2, c2, d2 = q
+    if (b1 if b1 > b2 else b2) <= (c1 if c1 < c2 else c2):
+        return 1.0
+    # the left value's core starts first; its falling edge faces the right one's rising edge
+    if b1 <= b2:
+        left_c, left_d, right_a, right_b = c1, d1, a2, b2
+    else:
+        left_c, left_d, right_a, right_b = c2, d2, a1, b1
+    if right_a >= left_d:
+        return 0.0
+    # Cores disjoint and supports overlapping: at least one of the two facing
+    # edges has positive width, so the denominator is positive.
+    denom = (right_b - right_a) + (left_d - left_c)
+    if denom <= 0.0:
+        return 1.0
+    return min(1.0, max(0.0, (left_d - right_a) / denom))
 
 
 def possibility_eq(t1: Trapezoid, t2: Trapezoid) -> Degree:
@@ -269,19 +331,10 @@ def possibility_eq(t1: Trapezoid, t2: Trapezoid) -> Degree:
     Closed form of sup_x min(mu1(x), mu2(x)): 1 when the cores [b, c] overlap,
     0 when the supports [a, d] are disjoint, otherwise the height where the
     left value's falling edge meets the right value's rising edge.  Symmetric
-    in its arguments.
+    in its arguments.  The arithmetic is possibility_eq_corners', on the two
+    trapezoids' corners.
     """
-    if max(t1.b, t2.b) <= min(t1.c, t2.c):
-        return 1.0
-    left, right = (t1, t2) if t1.b <= t2.b else (t2, t1)
-    if right.a >= left.d:
-        return 0.0
-    # Cores disjoint and supports overlapping: at least one of the two facing
-    # edges has positive width, so the denominator is positive.
-    denom = (right.b - right.a) + (left.d - left.c)
-    if denom <= 0.0:
-        return 1.0
-    return min(1.0, max(0.0, (left.d - right.a) / denom))
+    return possibility_eq_corners(t1.corners(), t2.corners())
 
 
 @dataclass
@@ -459,7 +512,7 @@ def feq(v1: FuzzyValue, v2: FuzzyValue, attr) -> Degree:
                 raise FuzzyValueError(
                     f"{v.kind.value} value is not comparable on an ordered (type {attr.ftype}) attribute"
                 )
-        return possibility_eq(to_trapezoid(v1, resolve), to_trapezoid(v2, resolve))
+        return possibility_eq_corners(value_corners(v1, resolve), value_corners(v2, resolve))
     if attr.ftype == 3:
         if attr.similarity is None:
             raise SimilarityError(

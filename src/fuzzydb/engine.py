@@ -46,7 +46,16 @@ from .catalog import (
     cell_encoder,
     parse_number,
 )
-from .core import FuzzyValue, ValueKind, feq, fold_name, format_number
+from .core import (
+    FuzzyValue,
+    ValueKind,
+    feq,
+    fold_name,
+    format_number,
+    number_corners,
+    possibility_eq_corners,
+    value_corners,
+)
 from .errors import ConversionError, DataFileError, FuzzyDbError, undecodable_line
 from .fsql.compiler import (
     CompiledCondition,
@@ -143,10 +152,19 @@ def _not_plain(value, want: str) -> ConversionError:
     return ConversionError(f"expected {want}, got {got}")
 
 
-def _number_cell(value) -> str:
+def _number(value) -> float:
+    """A plain int or float cell as a float, else a ConversionError; inf and nan pass."""
     if isinstance(value, (int, float)):
-        return format_number(value)  # a FuzzyValueError for inf and nan
+        try:
+            return float(value)
+        except OverflowError:
+            raise ConversionError(
+                "expected a finite number, got an integer too large for a float") from None
     raise _not_plain(value, "a number")
+
+
+def _number_cell(value) -> str:
+    return format_number(_number(value))  # a FuzzyValueError for inf and nan
 
 
 def _text_cell(value) -> str:
@@ -364,16 +382,57 @@ class Result:
     plan: Optional[CompiledPlan] = None
 
 
-def _condition_degrees(cond: CompiledCondition, column: List[object]) -> List[float]:
-    """feq of cond on each cell of column, computed once per distinct cell.
+def _degree(cond: CompiledCondition, cell) -> float:
+    """feq of cond on one cell, a plain cell read as the crisp number it holds."""
+    value = cell if isinstance(cell, FuzzyValue) else FuzzyValue.crisp(_number(cell))
+    return feq(value, cond.operand, cond.attr)
 
-    Fuzzy cells are told apart by object, plain numbers by value.
+
+def _ordered_degrees(cond: CompiledCondition, cells: list) -> List[float]:
+    """_degree of cond, a condition on an ordered (type 1 or 2) column, on each of cells.
+
+    Each cell is reduced to its trapezoid's corners by core's rule for its
+    kind, with no Trapezoid or FuzzyValue built, and compared with the
+    operand's corners, resolved once, by core's closed form: the arithmetic
+    feq does, so the degrees are feq's bit for bit.  The specials need no
+    operand, so it is resolved at the first cell that is not one.  A cell
+    feq would refuse raises a FuzzyDbError here too, though not always feq's.
     """
-    def degrees(cells: list) -> List[float]:
-        return [feq(cell if isinstance(cell, FuzzyValue) else FuzzyValue.crisp(cell),
-                    cond.operand, cond.attr) for cell in cells]
+    # bound once: a member lookup on the enum class costs about 0.13 us a time
+    unknown, undefined, null = ValueKind.UNKNOWN, ValueKind.UNDEFINED, ValueKind.NULL
+    resolve = cond.attr.trapezoid_for
+    operand = None
+    out = []
+    append = out.append
+    for cell in cells:
+        if isinstance(cell, FuzzyValue):
+            kind = cell.kind
+            if kind is unknown:
+                append(1.0)
+                continue
+            if kind is undefined or kind is null:
+                append(0.0)
+                continue
+            corners = value_corners(cell, resolve)
+        else:
+            corners = number_corners(_number(cell))
+        if operand is None:
+            operand = value_corners(cond.operand, resolve)
+        append(possibility_eq_corners(corners, operand))
+    return out
 
-    return _per_distinct(degrees, column, column if cond.attr.ftype is FuzzyType.PRECISE else None)
+
+def _condition_degrees(cond: CompiledCondition, column: List[object]) -> List[float]:
+    """_degree of cond on each cell of column, computed once per distinct cell.
+
+    Fuzzy cells are told apart by object, plain numbers by value.  Ordered
+    columns go through _ordered_degrees, scalar ones through feq.
+    """
+    ftype = cond.attr.ftype
+    if ftype is FuzzyType.FUZZY_SCALAR:
+        return _per_distinct(lambda cells: [_degree(cond, cell) for cell in cells], column)
+    return _per_distinct(functools.partial(_ordered_degrees, cond), column,
+                         column if ftype is FuzzyType.PRECISE else None)
 
 
 def _passes(node, degrees: List[List[float]]) -> List[bool]:
@@ -389,10 +448,17 @@ def execute(plan: CompiledPlan, table: Table) -> Result:
     """Run a compiled plan over a loaded table.
 
     Execution goes a column at a time: each condition's degrees come from its
-    column, with feq called once per distinct cell, so the saving grows with
-    the repeated values that load_table shares.  The filter tree combines
-    those degree lists; every kept row carries every condition's degree, even
-    when another branch already decided it.  Row order is preserved.
+    column, computed once per distinct cell, so the saving grows with the
+    repeated values that load_table shares.  A condition on an ordered
+    (type 1 or 2) column runs one kernel over those cells, on trapezoid
+    corners through core's closed form, and gives feq's degrees bit for bit;
+    one on a scalar column calls feq.  The filter tree combines those degree
+    lists; every kept row carries every condition's degree, even when another
+    branch already decided it.  Row order is preserved.
+
+    A cell that cannot be compared raises what feq raises for the first such
+    cell in row order, then condition order; a plain cell that is not a
+    number raises the ConversionError save_table gives for it.
     """
     start = time.perf_counter()
     rows = table.rows
@@ -400,7 +466,14 @@ def execute(plan: CompiledPlan, table: Table) -> Result:
     def cells(attr: AttributeDescriptor, of_rows) -> List[object]:
         return list(map(operator.itemgetter(table.column_index(attr.column)), of_rows))
 
-    degrees = [_condition_degrees(cond, cells(cond.attr, rows)) for cond in plan.conditions]
+    try:
+        degrees = [_condition_degrees(cond, cells(cond.attr, rows)) for cond in plan.conditions]
+    except FuzzyDbError:
+        # raise what the first cell at fault raises, in row order, then condition order
+        for row in rows:
+            for cond in plan.conditions:
+                _degree(cond, row[table.column_index(cond.attr.column)])
+        raise
     keep = None if plan.tree is None else _passes(plan.tree, degrees)
     kept = rows if keep is None else list(compress(rows, keep))
     columns = []

@@ -3,6 +3,7 @@
 import copy
 import math
 import pickle
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -24,6 +25,7 @@ from fuzzydb import (
     to_trapezoid,
     validate_similarity,
 )
+from fuzzydb.core import number_corners, possibility_eq_corners, value_corners
 
 # lattice of exactly representable floats keeps identities exact under +/-
 lattice = st.integers(-40, 80).map(lambda k: k / 2)
@@ -262,6 +264,72 @@ class TestPossibilityEq:
     @given(trapezoids)
     def test_self_is_one(self, t):
         assert possibility_eq(t, t) == 1.0
+
+
+def oracle_possibility_eq(t1, t2):
+    """The closed form as it was stated on Trapezoid objects, before the corner form."""
+    if max(t1.b, t2.b) <= min(t1.c, t2.c):
+        return 1.0
+    left, right = (t1, t2) if t1.b <= t2.b else (t2, t1)
+    if right.a >= left.d:
+        return 0.0
+    denom = (right.b - right.a) + (left.d - left.c)
+    if denom <= 0.0:
+        return 1.0
+    return min(1.0, max(0.0, (left.d - right.a) / denom))
+
+
+# corners on a coarse grid, so that edges collapse and cores touch, plus extremes
+GRID_CORNERS = st.one_of(
+    lattice, st.sampled_from([-0.0, 5e-324, -5e-324, 1e300, -1e300]),
+    st.floats(-1e300, 1e300, allow_nan=False),
+)
+grid_trapezoids = st.tuples(GRID_CORNERS, GRID_CORNERS, GRID_CORNERS, GRID_CORNERS).map(
+    lambda t: Trapezoid(*sorted(t))
+)
+
+
+class TestCorners:
+    @given(grid_trapezoids, grid_trapezoids)
+    def test_corner_form_is_the_trapezoid_form_bit_for_bit(self, t1, t2):
+        expected = repr(oracle_possibility_eq(t1, t2))
+        assert repr(possibility_eq_corners(t1.corners(), t2.corners())) == expected
+        assert repr(possibility_eq(t1, t2)) == expected
+
+    @given(st.one_of(
+        st.tuples(GRID_CORNERS).map(lambda t: FuzzyValue.crisp(*t)),
+        st.tuples(GRID_CORNERS, GRID_CORNERS).filter(lambda t: t[0] < t[1])
+        .map(lambda t: FuzzyValue.interval(*t)),
+        st.tuples(lattice, st.floats(0.25, 10)).map(lambda t: FuzzyValue.approx(*t)),
+        grid_trapezoids.map(FuzzyValue.trapezoid),
+    ))
+    def test_value_corners_are_the_trapezoid_corners(self, value):
+        assert value_corners(value) == to_trapezoid(value).corners()
+        assert repr(value_corners(value)) == repr(to_trapezoid(value).corners())
+
+    def test_value_corners_by_kind(self):
+        t = Trapezoid(15, 20, 25, 30)
+        assert value_corners(FuzzyValue.crisp(26)) == (26, 26, 26, 26)
+        assert value_corners(FuzzyValue.interval(60, 70)) == (60, 60, 70, 70)
+        assert value_corners(FuzzyValue.approx(70, 5)) == (65, 70, 70, 75)
+        assert value_corners(FuzzyValue.trapezoid(t)) == (15, 20, 25, 30)
+        assert value_corners(FuzzyValue.label("young"), lambda name: t) == (15, 20, 25, 30)
+        with pytest.raises(FuzzyValueError, match="no label resolver"):
+            value_corners(FuzzyValue.label("young"))
+        for v in (FuzzyValue.unknown(), FuzzyValue.simple(1, "matte")):
+            with pytest.raises(FuzzyValueError, match="cannot be reduced to a trapezoid"):
+                value_corners(v)
+
+    @pytest.mark.parametrize("x", [0, -0.0, 5e-324, 1e300, True, 7])
+    def test_number_corners_are_the_crisp_point(self, x):
+        assert repr(number_corners(x)) == repr(value_corners(FuzzyValue.crisp(x)))
+
+    @pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
+    def test_number_corners_refuse_what_crisp_refuses(self, x):
+        with pytest.raises(FuzzyValueError) as crisp_error:
+            FuzzyValue.crisp(x)
+        with pytest.raises(FuzzyValueError, match=f"^{re.escape(str(crisp_error.value))}$"):
+            number_corners(x)
 
 
 class TestSimilarityRelation:

@@ -15,7 +15,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fuzzydb import (
+    AttributeDescriptor,
     Catalog,
+    CatalogError,
     ConversionError,
     ConversionRow,
     DataFileError,
@@ -24,6 +26,7 @@ from fuzzydb import (
     FuzzyType,
     FuzzyValue,
     FuzzyValueError,
+    LabelDefinition,
     Result,
     Table,
     case_study_dir,
@@ -44,7 +47,7 @@ from fuzzydb import (
 )
 from fuzzydb import engine
 from fuzzydb.core import ValueKind
-from fuzzydb.fsql.compiler import CompiledCondition, PhysicalColumn
+from fuzzydb.fsql.compiler import CompiledCondition, CompiledPlan, DegreeColumn, PhysicalColumn
 from fuzzydb.fsql.parser import And
 
 FLAGSHIP = (
@@ -859,6 +862,144 @@ class TestExecuteOracle:
             oracle_execute(plan, table)
         with pytest.raises(FuzzyDbError, match=f"^{re.escape(str(err.value))}$"):
             execute(plan, table)
+
+
+# Numbers for the ordered kernel: both zeros, subnormals, huge values, the
+# lots labels' corners and a grid around them (so edges meet and cores touch).
+KERNEL_NUMBERS = st.one_of(
+    st.sampled_from([0, -0.0, 0.0, 5e-324, -5e-324, 1e-310, 1e300, -1e300, -10, 30, 35.5, 40, 90]),
+    st.integers(-20, 100),
+    st.integers(-40, 200).map(lambda k: k / 2),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+LOTS_LABELS = {"code": ["zero", "ZERO"], "width": ["zero", "narrow", "Wide"]}
+
+
+def kernel_cells(labels):
+    """Every ordered kind, the specials and plain ints and floats, collapsed edges among them."""
+    n = KERNEL_NUMBERS
+    return st.one_of(
+        SPECIALS,
+        n,
+        n.map(FuzzyValue.crisp),
+        st.sampled_from(labels).map(FuzzyValue.label),
+        st.tuples(n, n).filter(lambda t: t[0] < t[1]).map(lambda t: FuzzyValue.interval(*t)),
+        st.tuples(n, n).filter(lambda t: _approx_fits(*t)).map(lambda t: FuzzyValue.approx(*t)),
+        st.tuples(n, n, n, n).map(sorted).map(lambda t: FuzzyValue.trapezoid(*t)),
+        st.tuples(n, n).map(sorted).map(lambda t: FuzzyValue.trapezoid(t[0], t[0], t[1], t[1])),
+    )
+
+
+def feq_degrees(cond, cells):
+    """The oracle: feq on each cell, a plain cell as the crisp number it holds."""
+    return [feq(cell if isinstance(cell, FuzzyValue) else FuzzyValue.crisp(cell),
+                cond.operand, cond.attr) for cell in cells]
+
+
+def kernel_condition(data, catalog):
+    column = data.draw(st.sampled_from(sorted(LOTS_LABELS)))
+    operand = data.draw(st.one_of(st.sampled_from(LOTS_LABELS[column]).map(FuzzyValue.label),
+                                  KERNEL_NUMBERS.map(FuzzyValue.crisp)))
+    return CompiledCondition(0, catalog.get("lots", column), operand, 0.0)
+
+
+class TestOrderedKernel:
+    """The ordered-column kernel against feq, cell by cell, every bit and the sign of zero."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data())
+    def test_matches_feq_bit_for_bit(self, lots_catalog, data):
+        cond = kernel_condition(data, lots_catalog)
+        cells = data.draw(st.lists(kernel_cells(LOTS_LABELS[cond.attr.column]), max_size=20))
+        expected = repr(feq_degrees(cond, cells))
+        assert repr(engine._ordered_degrees(cond, cells)) == expected
+        assert repr(engine._condition_degrees(cond, cells)) == expected  # once per distinct cell
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_refuses_what_feq_refuses(self, lots_catalog, data):
+        cond = kernel_condition(data, lots_catalog)
+        faults = st.sampled_from([FuzzyValue.simple(1, "satin"), FuzzyValue.label("nope"),
+                                  FuzzyValue.poss_dist([(1, 3), (0.5, 4)]), math.inf, math.nan])
+        cells = data.draw(st.lists(st.one_of(kernel_cells(LOTS_LABELS[cond.attr.column]), faults),
+                                   max_size=8))
+        try:
+            expected = feq_degrees(cond, cells)
+        except FuzzyDbError:
+            with pytest.raises(FuzzyDbError):
+                engine._ordered_degrees(cond, cells)
+        else:
+            assert repr(engine._ordered_degrees(cond, cells)) == repr(expected)
+
+    @pytest.mark.parametrize("ftype", [1, 2])
+    def test_operand_is_resolved_only_for_a_cell_that_is_not_special(self, ftype):
+        # a descriptor assembled by hand: its label has no trapezoid, which feq
+        # needs only for a cell that is not special
+        attr = AttributeDescriptor("lots", "width", ftype, "numeric",
+                                   labels=[LabelDefinition(1, "vague")])
+        cond = CompiledCondition(0, attr, FuzzyValue.label("vague"), 0.0)
+        plan = CompiledPlan("lots", (DegreeColumn("CDEG(width)", (0,)),), (cond,), cond, "")
+        specials = [FuzzyValue.unknown(), FuzzyValue.null(), FuzzyValue.undefined(),
+                    FuzzyValue.unknown()]
+        for cells in ([], specials):
+            expected = feq_degrees(cond, cells)
+            assert repr(engine._ordered_degrees(cond, cells)) == repr(expected)
+            assert repr(engine._condition_degrees(cond, cells)) == repr(expected)
+            result = execute(plan, Table("lots", [attr], [[cell] for cell in cells]))
+            assert repr(result.rows) == repr([[d] for d in expected])  # THOLD 0 keeps them all
+        for cell in (FuzzyValue.crisp(1), 1.0):
+            with pytest.raises(CatalogError, match="has no trapezoid form") as err:
+                feq_degrees(cond, [*specials, cell])
+            with pytest.raises(CatalogError, match=f"^{re.escape(str(err.value))}$"):
+                execute(plan, Table("lots", [attr], [[c] for c in [*specials, cell]]))
+
+
+class TestExecuteErrors:
+    """execute raises the error of the first cell at fault in row order, then condition order."""
+
+    @staticmethod
+    def assert_oracle_error(plan, table, message):
+        with pytest.raises(FuzzyDbError) as err:
+            oracle_execute(plan, table)
+        assert message in str(err.value)
+        with pytest.raises(FuzzyDbError, match=f"^{re.escape(str(err.value))}$"):
+            execute(plan, table)
+
+    def test_first_row_at_fault_in_one_column(self, lots_catalog):
+        rows = [[1, FuzzyValue.simple(1, "satin"), FuzzyValue.null()],
+                [2, FuzzyValue.poss_dist([(1, "satin"), (0.5, "gloss")]), FuzzyValue.null()]]
+        plan = compile_query("SELECT code FROM lots WHERE width FEQ $wide", lots_catalog)
+        self.assert_oracle_error(plan, Table("lots", lots_catalog.table_schema("lots"), rows),
+                                 "simple value is not comparable")
+
+    def test_an_earlier_row_comes_before_an_earlier_condition(self, lots_catalog):
+        rows = [[1, FuzzyValue.crisp(35), FuzzyValue.crisp(3)],
+                [2, FuzzyValue.simple(1, "satin"), FuzzyValue.null()]]
+        plan = compile_query("SELECT code FROM lots WHERE width FEQ $wide AND finish FEQ $satin",
+                             lots_catalog)
+        self.assert_oracle_error(plan, Table("lots", lots_catalog.table_schema("lots"), rows),
+                                 "crisp value is not comparable on an unordered (type 3) attribute")
+
+    @pytest.mark.parametrize("cell, message", [
+        ("abc", "expected a number, got 'abc'"),
+        (None, "expected a number, got None"),
+        ("3", "expected a number, got '3'"),
+        (FuzzyValue.crisp(3), None),
+        (10 ** 400, "expected a finite number, got an integer too large for a float"),
+    ])
+    def test_plain_numeric_column_takes_numbers_only(self, lots_catalog, tmp_path, cell, message):
+        schema = lots_catalog.table_schema("lots")
+        table = Table("lots", schema, [[3, FuzzyValue.crisp(35), FuzzyValue.null()],
+                                       [cell, FuzzyValue.crisp(35), FuzzyValue.null()]])
+        sql = "SELECT code, CDEG(code) FROM lots WHERE code FEQ 3 THOLD 0"
+        if message is None:  # a fuzzy value is compared as it is, as before
+            assert run_query(sql, lots_catalog, tables={"lots": table}).rows[1][1] == 1.0
+            return
+        # the error save_table gives for the same cell, which names its line
+        with pytest.raises(ConversionError, match=f": column code: {re.escape(message)}$"):
+            save_table(table, tmp_path / "lots.csv")
+        with pytest.raises(ConversionError, match=f"^{re.escape(message)}$"):
+            run_query(sql, lots_catalog, tables={"lots": table})
 
 
 class TestRunQuery:
