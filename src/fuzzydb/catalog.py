@@ -193,15 +193,14 @@ class AttributeDescriptor:
 #
 # Numbers must be finite, fields may carry surrounding whitespace, and an
 # ordered cell may leave out trailing empty fields.  One decoder reads both
-# forms: decode_row writes a row's fields as text and hands them to it.  The
-# cell encoder writes values straight to the text the decoder reads;
-# encode_value writes conversion rows, and is the encoder's test oracle.
+# forms: decode_row writes a row's fields as text and hands them to it.  One
+# encoder writes both: the cell encoder writes values straight to the text
+# the decoder reads, and encode_value reads that text back as a row's fields.
 
 FieldValue = Union[float, str, None]
 
 # Codes 0..2 are the specials in both layouts; 3..7 depend on the column's domain.
 _SPECIAL_KINDS = (ValueKind.UNKNOWN, ValueKind.UNDEFINED, ValueKind.NULL)
-_SPECIAL_CODES = {kind: ft for ft, kind in enumerate(_SPECIAL_KINDS)}
 _CODES = {str(ft): ft for ft in range(8)}
 
 # Which of an ordered cell's four fields each code needs: 'x' given, '.' empty, '?' either.
@@ -249,47 +248,6 @@ def _edges(attr: AttributeDescriptor, t: Trapezoid) -> Tuple[float, float]:
             f"its edge width b-a or c-d overflows"
         )
     return left, right
-
-
-def encode_value(value: FuzzyValue, attr: AttributeDescriptor) -> ConversionRow:
-    """Flatten a fuzzy value into the row stored for attr's column.
-
-    Ordered columns (type 2): code 3 keeps the number in the first field,
-    code 4 the label id, code 5 the bounds in the first and last fields,
-    code 6 stores (center, center-margin, center+margin, margin), and code 7
-    stores (a, b-a, c-d, d) so the middle fields are the edge widths.
-
-    Unordered columns (type 3): codes 3 and 4 store the (degree, element)
-    pairs flattened left to right, elements as numbers or scalar names.
-    """
-    k = value.kind
-    if attr.ftype is FuzzyType.FUZZY_ORDERED:
-        if k in _SPECIAL_CODES:
-            return ConversionRow(_SPECIAL_CODES[k], (None, None, None, None))
-        if k is ValueKind.CRISP:
-            return ConversionRow(3, (value.number, None, None, None))
-        if k is ValueKind.LABEL:
-            return ConversionRow(4, (float(_label(attr, value.name).fuzzy_id), None, None, None))
-        if k is ValueKind.INTERVAL:
-            return ConversionRow(5, (value.low, None, None, value.high))
-        if k is ValueKind.APPROX:
-            d, g = value.number, value.margin
-            return ConversionRow(6, (d, d - g, d + g, g))
-        if k is ValueKind.TRAPEZOID:
-            t = value.trap
-            return ConversionRow(7, (t.a, *_edges(attr, t), t.d))
-        raise ConversionError(f"{k.value} value cannot be stored in ordered column {attr.qualified}")
-    if attr.ftype is FuzzyType.FUZZY_SCALAR:
-        if k in _SPECIAL_CODES:
-            return ConversionRow(_SPECIAL_CODES[k], ())
-        if k is ValueKind.SIMPLE or k is ValueKind.POSS_DIST:
-            flat = []
-            for p, e in value.pairs:
-                flat.append(p)
-                flat.append(e)
-            return ConversionRow(3 if k is ValueKind.SIMPLE else 4, tuple(flat))
-        raise ConversionError(f"{k.value} value cannot be stored in scalar column {attr.qualified}")
-    raise ConversionError(f"column {attr.qualified} stores plain values, not conversion rows")
 
 
 def parse_number(text: str) -> float:
@@ -422,7 +380,7 @@ def cell_decoder(attr: AttributeDescriptor) -> Callable[[str], FuzzyValue]:
     raise ConversionError(f"column {attr.qualified} stores plain values, not conversion rows")
 
 
-_SPECIAL_TEXTS = {kind: str(ft) for kind, ft in _SPECIAL_CODES.items()}
+_SPECIAL_TEXTS = {kind: str(ft) for ft, kind in enumerate(_SPECIAL_KINDS)}
 
 
 def _kind(attr: AttributeDescriptor, value) -> ValueKind:
@@ -476,6 +434,25 @@ def cell_encoder(attr: AttributeDescriptor) -> Callable[[FuzzyValue], str]:
     if attr.ftype is FuzzyType.FUZZY_SCALAR:
         return functools.partial(_encode_scalar, attr)
     raise ConversionError(f"column {attr.qualified} stores plain values, not conversion rows")
+
+
+def encode_value(value: FuzzyValue, attr: AttributeDescriptor) -> ConversionRow:
+    """Flatten a fuzzy value into the row stored for attr's column; inverse of decode_row.
+
+    The cell encoder writes the value, and its text is read back as fields:
+    empty ones as None, names as strings and the rest as floats (the text is
+    exact), with an ordered code 4 label as its id and an ordered special
+    padded to four fields.  So the row holds what the cell holds, and a value
+    the encoder refuses raises its ConversionError.
+    """
+    ft, fields = _split(cell_encoder(attr)(value))
+    ordered = attr.ftype is FuzzyType.FUZZY_ORDERED
+    if ordered:
+        fields += [""] * (4 - len(fields))
+    row = [None if not f else f if _is_name(f) else float(f) for f in fields]
+    if ordered and ft == 4:
+        row[0] = float(attr.find_label(row[0]).fuzzy_id)  # the catalog's spelling
+    return ConversionRow(ft, row)
 
 
 def decode_row(row: ConversionRow, attr: AttributeDescriptor) -> FuzzyValue:

@@ -20,7 +20,11 @@ format_result renders a result the same way, a column at a time: each
 distinct cell object of a column becomes text once, through one table of
 text functions by value kind (_KIND_TEXT, which render_value uses too), and
 the lines are joined from the column texts, byte for byte as rendering row by
-row would write them.
+row would write them.  _per_distinct is the one "once per distinct cell
+object" rule of the writer, the renderer and scalar conditions; ordered
+conditions run their kernel over every cell, which costs less than the memo.
+execute, save_table and format_result check a plain cell that is not text
+through one function, _number (format_number checks a float itself).
 """
 
 from __future__ import annotations
@@ -93,18 +97,18 @@ _SHARED_KINDS = frozenset(
 )
 
 
-def _per_distinct(fn: Callable[[list], Iterable], column, keys=None) -> list:
-    """The result of each cell of column, where fn maps the list of distinct cells to theirs.
+def _per_distinct(fn: Callable[[Iterable], Iterable], column) -> list:
+    """The result of each cell of column, where fn maps the distinct cells, in order, to theirs.
 
-    Cells with one key are one distinct cell, the first of them.  The keys
-    default to the cells' ids: column keeps its cells alive, they cannot
-    change (values are frozen, plain cells immutable), and load_table shares
-    repeated ones, so one object's result serves all its cells.
+    Cells are told apart by object (their id): column keeps them alive, they
+    cannot change (values are frozen, plain cells immutable), and load_table
+    and execute share repeated ones, so one object's result serves all its
+    cells.  Equal cells that encode or render differently stay apart (0.0
+    and -0.0, 1 and True).
     """
-    if keys is None:
-        keys = list(map(id, column))
-    firsts = dict(zip(reversed(keys), reversed(column)))
-    done = dict(zip(firsts, fn(list(firsts.values()))))
+    keys = list(map(id, column))
+    cells = dict(zip(keys, column))
+    done = dict(zip(cells, fn(cells.values())))
     return list(map(done.__getitem__, keys))
 
 
@@ -423,16 +427,14 @@ def _ordered_degrees(cond: CompiledCondition, cells: list) -> List[float]:
 
 
 def _condition_degrees(cond: CompiledCondition, column: List[object]) -> List[float]:
-    """_degree of cond on each cell of column, computed once per distinct cell.
+    """_degree of cond on each cell of column.
 
-    Fuzzy cells are told apart by object, plain numbers by value.  Ordered
-    columns go through _ordered_degrees, scalar ones through feq.
+    An ordered (type 1 or 2) column goes through _ordered_degrees, cell by
+    cell; a scalar one through feq, once per distinct cell object.
     """
-    ftype = cond.attr.ftype
-    if ftype is FuzzyType.FUZZY_SCALAR:
+    if cond.attr.ftype is FuzzyType.FUZZY_SCALAR:
         return _per_distinct(lambda cells: [_degree(cond, cell) for cell in cells], column)
-    return _per_distinct(functools.partial(_ordered_degrees, cond), column,
-                         column if ftype is FuzzyType.PRECISE else None)
+    return _ordered_degrees(cond, column)
 
 
 def _passes(node, degrees: List[List[float]]) -> List[bool]:
@@ -448,23 +450,30 @@ def execute(plan: CompiledPlan, table: Table) -> Result:
     """Run a compiled plan over a loaded table.
 
     Execution goes a column at a time: each condition's degrees come from its
-    column, computed once per distinct cell, so the saving grows with the
-    repeated values that load_table shares.  A condition on an ordered
-    (type 1 or 2) column runs one kernel over those cells, on trapezoid
-    corners through core's closed form, and gives feq's degrees bit for bit;
-    one on a scalar column calls feq.  The filter tree combines those degree
-    lists; every kept row carries every condition's degree, even when another
+    column.  A condition on an ordered (type 1 or 2) column runs one kernel
+    over every cell, on trapezoid corners through core's closed form, and
+    gives feq's degrees bit for bit; one on a scalar column calls feq once
+    per distinct cell object, so the saving grows with the repeated values
+    that load_table shares.  The filter tree combines those degree lists;
+    every kept row carries every condition's degree, even when another
     branch already decided it.  Row order is preserved.
 
     A cell that cannot be compared raises what feq raises for the first such
     cell in row order, then condition order; a plain cell that is not a
-    number raises the ConversionError save_table gives for it.
+    number raises the ConversionError save_table gives for it.  A row too
+    short for a column the plan reads raises save_table's "expected N cells,
+    found M" for the first row shorter than the schema.
     """
     start = time.perf_counter()
     rows = table.rows
 
     def cells(attr: AttributeDescriptor, of_rows) -> List[object]:
-        return list(map(operator.itemgetter(table.column_index(attr.column)), of_rows))
+        try:
+            return list(map(operator.itemgetter(table.column_index(attr.column)), of_rows))
+        except IndexError:
+            width = len(table.schema)
+            short = next(row for row in rows if len(row) < width)
+            raise ConversionError(f"expected {width} cells, found {len(short)}") from None
 
     try:
         degrees = [_condition_degrees(cond, cells(cond.attr, rows)) for cond in plan.conditions]
@@ -472,7 +481,7 @@ def execute(plan: CompiledPlan, table: Table) -> Result:
         # raise what the first cell at fault raises, in row order, then condition order
         for row in rows:
             for cond in plan.conditions:
-                _degree(cond, row[table.column_index(cond.attr.column)])
+                _degree(cond, cells(cond.attr, [row])[0])
         raise
     keep = None if plan.tree is None else _passes(plan.tree, degrees)
     kept = rows if keep is None else list(compress(rows, keep))
@@ -584,7 +593,9 @@ def _cell_text(plain: Callable[[float], str], inner: Callable[[float], str]) -> 
     def text(cell) -> str:
         if isinstance(cell, FuzzyValue):
             return _KIND_TEXT[cell.kind](cell, inner)
-        return cell if isinstance(cell, str) else plain(cell)
+        if isinstance(cell, str):
+            return cell
+        return plain(cell if isinstance(cell, float) else _number(cell))
 
     return text
 
@@ -636,35 +647,13 @@ def _json_cell(text: Callable[[object], str]) -> Callable[[object], str]:
             return _json(text(cell))
         if isinstance(cell, float):
             return format_number(cell)  # valid JSON, and the number the other formats print
-        # json writes an int as its repr; encode is slower on numbers
+        if isinstance(cell, str):
+            return _json(cell)
+        _number(cell)  # an int or a bool in a float's range, else a ConversionError
+        # json writes an int as its repr and a bool as true or false; encode is slower on numbers
         return repr(cell) if type(cell) is int else _json(cell)
 
     return json_cell
-
-
-def _column_texts(column, text: Callable[[object], str], prefix: str = "") -> list:
-    """prefix + text(cell) for each cell of column, computed once per distinct cell object.
-
-    Cells are told apart by object (their id): column keeps them alive, and
-    they cannot change (values are frozen, plain cells immutable).  So equal
-    cells that render differently stay apart (0.0 and -0.0, 1 and True), and
-    the cells that load_table and execute share render once.
-    """
-    cells = dict(zip(map(id, column), column))
-    texts = dict(zip(cells, map(prefix.__add__, map(text, cells.values()))))
-    return list(map(texts.__getitem__, map(id, column)))
-
-
-def _table_column(header: str, column, text: Callable[[object], str]) -> tuple:
-    """The header and the cell texts of one table column, each padded to the column's width.
-
-    Each distinct cell object is rendered and padded once, as in _column_texts.
-    """
-    cells = dict(zip(map(id, column), column))
-    texts = list(map(text, cells.values()))
-    width = max(map(len, [header, *texts]))
-    padded = dict(zip(cells, map(str.ljust, texts, repeat(width))))
-    return header.ljust(width), list(map(padded.__getitem__, map(id, column)))
 
 
 def _table(result: Result, text: Callable[[object], str]) -> str:
@@ -672,17 +661,24 @@ def _table(result: Result, text: Callable[[object], str]) -> str:
     width = len(str(len(rows)))
     head = ["#".ljust(width)]
     body = [map(str.ljust, map(str, range(1, len(rows) + 1)), repeat(width))]
+
+    def padded(cells) -> Iterable[str]:
+        # the texts of one column's distinct cells, padded with its header (head's last) to one width
+        texts = list(map(text, cells))
+        width = max(map(len, [head[-1], *texts]))
+        head[-1] = head[-1].ljust(width)
+        return map(str.ljust, texts, repeat(width))
+
     for header, column in zip(result.headers, zip(*rows) if rows else [()] * len(result.headers)):
-        header, cells = _table_column(header.upper(), column, text)
-        head.append(header)
-        body.append(cells)
+        head.append(header.upper())
+        body.append(_per_distinct(padded, column))
     n = len(rows)
     return "\n".join(["  ".join(head).rstrip(), *map(str.rstrip, map("  ".join, zip(*body))),
                       f"({n} row)" if n == 1 else f"({n} rows)"])
 
 
 def _csv(result: Result, text: Callable[[object], str]) -> str:
-    columns = [_column_texts(column, text) for column in zip(*result.rows)]
+    columns = [_per_distinct(functools.partial(map, text), column) for column in zip(*result.rows)]
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(result.headers)
@@ -696,7 +692,7 @@ def _jsonl(result: Result, text: Callable[[object], str]) -> str:
     for header, column in zip(result.headers, zip(*result.rows)):
         seen[header] = n = seen.get(header, 0) + 1
         key = _json(header if n == 1 else f"{header}#{n}") + ": "
-        columns[key] = _column_texts(column, text, key)
+        columns[key] = _per_distinct(lambda cells: map(key.__add__, map(text, cells)), column)
     lines = zip(*columns.values()) if columns else [()] * len(result.rows)
     return "\n".join(["{" + ", ".join(line) + "}" for line in lines])
 
@@ -711,8 +707,8 @@ def format_result(result: Result, fmt: str = "table", locale: str = "dot") -> st
     Each column is rendered on its own, once per distinct cell object, and
     the lines are joined from the column texts; the text is the one that
     rendering the rows one by one, cell by cell, gives.  A cell that cannot
-    be rendered (a non-finite plain number) raises the error of the first
-    such cell in row order.  The time taken is set as
+    be rendered (a plain cell that is not text or a finite number) raises
+    the error of the first such cell in row order.  The time taken is set as
     result.stats.render_seconds.
     """
     start = time.perf_counter()

@@ -211,6 +211,15 @@ class TestEncodeDecode:
         with pytest.raises(ConversionError):
             encode_value(FuzzyValue.crisp(1), AttributeDescriptor("t", "c", 1, "numeric"))
 
+    def test_refuses_what_the_cell_encoder_refuses(self):
+        # elements a cell would read back as a number or as two fields
+        for element in ("5", "a;b"):
+            with pytest.raises(ConversionError, match="is not a name"):
+                encode_value(FuzzyValue.simple(1, element), scalar_attr())
+        for attr in (ordered_attr(), scalar_attr()):
+            with pytest.raises(ConversionError, match="holds fuzzy values, got 26.0"):
+                encode_value(26.0, attr)
+
     def test_unregistered_label_fails(self):
         with pytest.raises(ConversionError):
             encode_value(FuzzyValue.label("nope"), ordered_attr())

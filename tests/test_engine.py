@@ -327,6 +327,51 @@ def shared_catalog():
     return load_catalog(case_study_dir())
 
 
+def oracle_row(value, attr):
+    """The conversion row of value, written kind by kind from the row layout.
+
+    It is the row encode_value gives, stated apart from the cell encoder that
+    encode_value reads it from.  It takes any element; the elements the cell
+    encoder refuses ('5' as text, 'a;b') are pinned in test_catalog.
+    """
+    if attr.ftype is FuzzyType.PRECISE or not isinstance(value, FuzzyValue):
+        raise ConversionError(f"{attr.qualified} stores no conversion row of {value!r}")
+    k, ordered = value.kind, attr.ftype is FuzzyType.FUZZY_ORDERED
+    specials = (ValueKind.UNKNOWN, ValueKind.UNDEFINED, ValueKind.NULL)
+    if k in specials:
+        return ConversionRow(specials.index(k), (None,) * 4 if ordered else ())
+    if ordered and k is ValueKind.CRISP:
+        return ConversionRow(3, (value.number, None, None, None))
+    if ordered and k is ValueKind.LABEL:
+        ld = attr.find_label(value.name)
+        if ld is None:
+            raise ConversionError(f"label {value.name!r} is not defined for {attr.qualified}")
+        return ConversionRow(4, (float(ld.fuzzy_id), None, None, None))
+    if ordered and k is ValueKind.INTERVAL:
+        return ConversionRow(5, (value.low, None, None, value.high))
+    if ordered and k is ValueKind.APPROX:
+        d, g = value.number, value.margin
+        return ConversionRow(6, (d, d - g, d + g, g))
+    if ordered and k is ValueKind.TRAPEZOID:
+        t = value.trap
+        if not (math.isfinite(t.b - t.a) and math.isfinite(t.c - t.d)):
+            raise ConversionError(f"{attr.qualified}: an edge width of {value!r} overflows")
+        return ConversionRow(7, (t.a, t.b - t.a, t.c - t.d, t.d))
+    if not ordered and k in (ValueKind.SIMPLE, ValueKind.POSS_DIST):
+        flat = tuple(x for pair in value.pairs for x in pair)
+        return ConversionRow(3 if k is ValueKind.SIMPLE else 4, flat)
+    raise ConversionError(f"{k.value} value cannot be stored in {attr.qualified}")
+
+
+def row_outcome(encode, value, attr):
+    """The row's code and the repr of each field (so the sign of zero counts), or the error class."""
+    try:
+        row = encode(value, attr)
+    except ConversionError:
+        return ConversionError
+    return row.ft, tuple(map(repr, row.fields))
+
+
 class TestCellRoundTrip:
     @settings(max_examples=300)
     @given(data=st.data())
@@ -346,8 +391,8 @@ class TestCellRoundTrip:
     def check(value, attr):
         parsed = parse_cell(format_cell(value, attr), attr)
         assert repr(parsed) == repr(value)  # every field, sign of zero included
-        # the conversion-row codec is the oracle for the cell decoder
-        assert repr(parsed) == repr(decode_row(encode_value(value, attr), attr))
+        # the row written kind by kind is the oracle for the cell codec
+        assert repr(parsed) == repr(decode_row(oracle_row(value, attr), attr))
 
 
 # Cell texts for personas, with repeats, spelling variants and whitespace.
@@ -515,10 +560,10 @@ class TestLoadTable:
 
 
 def oracle_cell(value, attr):
-    """A cell as save_table wrote it one cell at a time: encode_value, then each field as text."""
+    """A cell as save_table wrote it one cell at a time: oracle_row, then each field as text."""
     if attr.ftype is FuzzyType.PRECISE:
         return format_number(value) if attr.domain_kind == "numeric" else str(value)
-    row = encode_value(value, attr)
+    row = oracle_row(value, attr)
     if row.ft < 3:
         return str(row.ft)
     if value.kind is ValueKind.LABEL:
@@ -549,6 +594,18 @@ def column_values(attr):
                          st.sampled_from(names).map(lambda n: FuzzyValue.label(n.upper())),
                          st.sampled_from([FuzzyValue.crisp(0.0), FuzzyValue.crisp(-0.0)]))
     return st.one_of(scalar_values(names), scalar_values([n.upper() for n in names]))
+
+
+class TestEncodeValue:
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data())
+    def test_matches_the_row_written_kind_by_kind(self, shared_catalog, data):
+        attr = data.draw(st.sampled_from(shared_catalog.attributes()))
+        width = [ld.name for ld in shared_catalog.get("pilas", "formato_largo").labels]
+        tone = [ld.name for ld in shared_catalog.get("cartulina", "tono_cara").labels]
+        # the column's own values, and values of either layout, which other columns refuse
+        value = data.draw(st.one_of(column_values(attr), ordered_values(width), scalar_values(tone)))
+        assert row_outcome(encode_value, value, attr) == row_outcome(oracle_row, value, attr)
 
 
 def twin(value):
@@ -1001,6 +1058,40 @@ class TestExecuteErrors:
         with pytest.raises(ConversionError, match=f"^{re.escape(message)}$"):
             run_query(sql, lots_catalog, tables={"lots": table})
 
+    def test_equal_plain_cells_in_other_objects_get_their_own_degrees(self, lots_catalog):
+        # equal numbers of other types and signs, each compared as the number it holds
+        cells = [1, 1.0, True, 0.0, -0.0, 1]
+        plan = compile_query("SELECT code, CDEG(code) FROM lots WHERE code FEQ $zero THOLD 0",
+                             lots_catalog)
+        null = FuzzyValue.null()
+        result = execute(plan, Table("lots", lots_catalog.table_schema("lots"),
+                                     [[cell, null, null] for cell in cells]))
+        expected = [engine._degree(plan.conditions[0], cell) for cell in cells]
+        assert repr([degree for _, degree in result.rows]) == repr(expected)
+        assert all(row[0] is cell for row, cell in zip(result.rows, cells))
+        cells[1], cells[3] = [1], None  # unhashable and not a number: the first row's error
+        with pytest.raises(ConversionError, match=r"^expected a number, got \[1\]$"):
+            execute(plan, Table("lots", lots_catalog.table_schema("lots"),
+                                [[cell, null, null] for cell in cells]))
+
+    @pytest.mark.parametrize("sql", [
+        "SELECT pilas.% FROM pilas",
+        "SELECT cod_pila FROM pilas WHERE estado FEQ $mojado THOLD 0",
+        # the first fault in row order: the short row comes before a cell feq refuses
+        "SELECT cod_pila FROM pilas WHERE formato_largo FEQ 65 THOLD 0 AND estado FEQ $mojado",
+    ])
+    def test_short_row_is_refused_as_save_table_refuses_it(self, case_catalog, case_tables,
+                                                           tmp_path, sql):
+        table = case_tables["pilas"]
+        del table.rows[1][3:]
+        del table.rows[4][2:]
+        table.rows[3][table.column_index("formato_largo")] = FuzzyValue.simple(1, "x")
+        with pytest.raises(ConversionError) as saved:
+            save_table(table, tmp_path / "pilas.csv")
+        assert str(saved.value).endswith(":3: expected 4 cells, found 3")
+        with pytest.raises(ConversionError, match="^expected 4 cells, found 3$"):
+            run_query(sql, case_catalog, tables={"pilas": table})
+
 
 class TestRunQuery:
     def test_stats_and_plan(self, case_catalog, case_tables):
@@ -1425,6 +1516,23 @@ class TestRendering:
             '{"x": 0, "y": "0", "z": 1}']
         for fmt in ("table", "csv", "jsonl"):
             assert format_result(result, fmt) == oracle_format(result, fmt)
+
+    @pytest.mark.parametrize("cell, message", [
+        (10 ** 400, "expected a finite number, got an integer too large for a float"),
+        ([1], "expected a number, got [1]"),
+        (None, "expected a number, got None"),
+    ], ids=["int_beyond_float", "list", "none"])
+    def test_plain_cell_that_is_not_a_number_is_refused(self, case_catalog, case_tables, cell,
+                                                        message):
+        table = case_tables["pilas"]
+        table.rows[1][table.column_index("cod_pila")] = cell
+        result = run_query("SELECT cod_pila FROM pilas", case_catalog, tables={"pilas": table})
+        for fmt in ("table", "csv", "jsonl"):
+            with pytest.raises(ConversionError, match=f"^{re.escape(message)}$"):
+                format_result(result, fmt)
+        for locale in ("dot", "comma"):
+            with pytest.raises(ConversionError, match=f"^{re.escape(message)}$"):
+                render_value(cell, locale)
 
     def test_jsonl_key_taken_twice_keeps_its_first_place_and_last_cell(self):
         # 'a' again is keyed a#2, which a header already is; json.dumps of the record merged them
