@@ -4,20 +4,22 @@ This module is self-contained and purely functional: every operation maps
 immutable inputs to a result without touching shared state, so it is safe to
 call from any number of concurrent workers.
 
-It is the one statement of the comparison calculus.  On an ordered domain
-FEQ is the possibility measure sup-min of two trapezoids, in closed form on
-their four corners (possibility_eq_corners); value_corners and
-number_corners reduce a value to corners by its kind, with no Trapezoid
-built.  possibility_eq and feq are thin wrappers over these, and so is the
-engine's per-column kernel for ordered conditions, so the two cannot drift.
+It is the one statement of the comparison calculus: feq_column, FEQ of an
+operand against each cell of a column, in one pass.  On an ordered domain
+that is the possibility sup-min of two trapezoids, in closed form on their
+corners (possibility_eq_corners; value_corners and number_corners reduce a
+value to corners by its kind); on an unordered one, max-min through the
+similarity relation, off the operand's similarity row.  feq, possibility_eq
+and similarity_eq are thin wrappers over the same forms, so none can drift.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import types
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Tuple, Union
+from typing import Callable, Iterable, List, Optional, Tuple, Union
 
 from .errors import FuzzyValueError, SimilarityError
 
@@ -115,10 +117,12 @@ class ValueKind(enum.Enum):
     POSS_DIST = "poss_dist"
 
 
-# The members value_corners tests, bound once: looking a member up on the
-# class goes through the enum machinery, about 0.13 us a time.
+# The members the kernels test, bound once: looking a member up on the class
+# goes through the enum machinery, about 0.13 us a time.
 _CRISP, _LABEL, _INTERVAL, _APPROX, _TRAPEZOID = (
     ValueKind.CRISP, ValueKind.LABEL, ValueKind.INTERVAL, ValueKind.APPROX, ValueKind.TRAPEZOID)
+_UNKNOWN, _UNDEFINED, _NULL, _SIMPLE, _POSS_DIST = (
+    ValueKind.UNKNOWN, ValueKind.UNDEFINED, ValueKind.NULL, ValueKind.SIMPLE, ValueKind.POSS_DIST)
 
 # Kinds reducible to a trapezoid on an ordered domain.
 ORDERED_KINDS = frozenset(
@@ -258,13 +262,14 @@ def _resolve_label(value: FuzzyValue, resolve: Optional[ResolveLabel]) -> Trapez
     return resolve(value.name)
 
 
-def value_corners(value: FuzzyValue, resolve: Optional[ResolveLabel] = None) -> Corners:
+def value_corners(value: FuzzyValue, resolve: Optional[ResolveLabel] = None,
+                  refused: str = "value of kind {} cannot be reduced to a trapezoid") -> Corners:
     """The corners of an ordered-domain value's trapezoid, with no Trapezoid built.
 
     Crisp d is the point (d, d, d, d); an interval [n, m] the crisp band
     (n, n, m, m); an approximate d +/- g the triangle (d-g, d, d, d+g).  Labels
     are looked up through the resolve callback.  Any other kind raises a
-    FuzzyValueError.
+    FuzzyValueError, refused with the kind's name filled in.
     """
     k = value.kind
     if k is _CRISP:
@@ -281,7 +286,7 @@ def value_corners(value: FuzzyValue, resolve: Optional[ResolveLabel] = None) -> 
     elif k is _LABEL:
         t = _resolve_label(value, resolve)
     else:
-        raise FuzzyValueError(f"value of kind {k.value} cannot be reduced to a trapezoid")
+        raise FuzzyValueError(refused.format(k.value))
     return (t.a, t.b, t.c, t.d)
 
 
@@ -459,69 +464,130 @@ def validate_similarity(rel: SimilarityRelation) -> SimilarityReport:
     return SimilarityReport(tuple(found))
 
 
-def _distribution_pairs(value: FuzzyValue) -> Tuple[PossPair, ...]:
-    """View an unordered-domain operand as possibility pairs; a label L is {1/L}."""
-    if value.kind in UNORDERED_KINDS:
-        return value.pairs
-    if value.kind is ValueKind.LABEL:
-        return ((1.0, value.name),)
-    raise FuzzyValueError(
-        f"value of kind {value.kind.value} has no possibility distribution form"
-    )
+def _check_values(fn: str, **values) -> None:
+    """Refuse, by name, an argument of fn that is not a FuzzyValue."""
+    for name, value in values.items():
+        if not isinstance(value, FuzzyValue):
+            raise FuzzyValueError(f"{fn}: {name} must be a FuzzyValue, got {value!r}")
+
+
+def _position(rel: SimilarityRelation, element: Element) -> int:
+    """element's position in rel's domain; a number or a name outside it is a SimilarityError."""
+    if not isinstance(element, str):
+        raise SimilarityError(f"numeric element {element!r} is not in the similarity domain")
+    return rel.index_of(element)
+
+
+def _similarity_row(value: FuzzyValue, rel: SimilarityRelation) -> List[Degree]:
+    """At each domain position i, max over value's pairs (q, e) of min(q, s(i, e)); a label L is {1/L}."""
+    at = [(q, _position(rel, e)) for q, e in value.pairs or ((1.0, value.name),)]
+    return [max([min(q, s[j]) for q, j in at]) for s in rel.matrix]
+
+
+def _unordered(kind: ValueKind) -> None:
+    if kind is not _SIMPLE and kind is not _POSS_DIST and kind is not _LABEL:
+        raise FuzzyValueError(f"{kind.value} value is not comparable on an unordered (type 3) attribute")
 
 
 def similarity_eq(a: FuzzyValue, b: FuzzyValue, rel: SimilarityRelation) -> Degree:
     """Max-min similarity match between two distributions over rel's domain.
 
-    Returns max over pairs (p, d) in a and (q, e) in b of min(p, q, s(d, e)).
+    Returns max over pairs (p, d) in a and (q, e) in b of min(p, q, s(d, e)),
+    read as feq_column reads it: a's pairs against b's similarity row.
     Simple values count as one-pair distributions and a label L as {1/L}.
     """
-    best = 0.0
-    for p, d in _distribution_pairs(a):
-        if not isinstance(d, str):
-            raise SimilarityError(f"numeric element {d!r} is not in the similarity domain")
-        for q, e in _distribution_pairs(b):
-            if not isinstance(e, str):
-                raise SimilarityError(f"numeric element {e!r} is not in the similarity domain")
-            best = max(best, min(p, q, rel.get(d, e)))
-    return best
+    _check_values("similarity_eq", a=a, b=b)
+    if not isinstance(rel, SimilarityRelation):
+        raise SimilarityError(f"similarity_eq: rel must be a SimilarityRelation, got {rel!r}")
+    for v in (a, b):
+        if v.kind not in UNORDERED_KINDS and v.kind is not _LABEL:
+            raise FuzzyValueError(f"value of kind {v.kind.value} has no possibility distribution form")
+    return feq_column(b, types.SimpleNamespace(ftype=3, similarity=rel), (a,))[0]
 
 
 def feq(v1: FuzzyValue, v2: FuzzyValue, attr) -> Degree:
-    """Fuzzy-equal possibility degree of two values under an attribute.
+    """Fuzzy-equal possibility degree of value v1 and operand v2 under attr: feq_column on v1."""
+    _check_values("feq", v1=v1, v2=v2)
+    return feq_column(v2, attr, (v1,))[0]
+
+
+def feq_column(operand: FuzzyValue, attr, cells: Iterable,
+               number: Optional[Callable[[object], float]] = None) -> List[Degree]:
+    """feq(cell, operand, attr) for each of cells, in one pass: the one statement of FEQ.
 
     attr supplies the comparison context: its fuzzy type (ftype 1, 2, or 3),
-    a trapezoid_for(name) label resolver for ordered domains, and a similarity
-    relation for unordered ones.
+    a trapezoid_for(name) label resolver for ordered domains, and a
+    similarity relation for unordered ones.  A cell that is not a FuzzyValue
+    is the crisp value of the float number(cell), with no FuzzyValue built.
 
     Special values resolve first: UNKNOWN on either side gives 1 (total
-    ignorance makes equality fully possible), then UNDEFINED gives 0 (no value
-    is possible at all), then NULL gives 0.
+    ignorance makes equality fully possible), then UNDEFINED gives 0 (no
+    value is possible at all), then NULL gives 0.  attr and the operand are
+    checked and resolved once, at the first cell that is not special.  On an
+    ordered domain a cell scores possibility_eq_corners of its corners and
+    the operand's; on an unordered one, max over its pairs (p, d) of
+    min(p, row[d]), row being the operand's _similarity_row.  As min
+    distributes over max and both only select, that is max-min over every
+    pair of pairs, min(p, q, s(d, e)), bit for bit.
     """
-    kinds = (v1.kind, v2.kind)
-    if ValueKind.UNKNOWN in kinds:
-        return 1.0
-    if ValueKind.UNDEFINED in kinds:
-        return 0.0
-    if ValueKind.NULL in kinds:
-        return 0.0
+    if operand.kind in SPECIAL_KINDS:  # no cell is reduced, but a plain one must be a finite number
+        values = [c if isinstance(c, FuzzyValue) else FuzzyValue.crisp(number(c)) for c in cells]
+        return [1.0 if _UNKNOWN in (operand.kind, value.kind) else 0.0 for value in values]
+    out = []
+    append = out.append
     if attr.ftype in (1, 2):
         resolve = getattr(attr, "trapezoid_for", None)
-        for v in (v1, v2):
-            if v.kind not in ORDERED_KINDS:
-                raise FuzzyValueError(
-                    f"{v.kind.value} value is not comparable on an ordered (type {attr.ftype}) attribute"
-                )
-        return possibility_eq_corners(value_corners(v1, resolve), value_corners(v2, resolve))
-    if attr.ftype == 3:
-        if attr.similarity is None:
-            raise SimilarityError(
-                f"attribute {attr.table}.{attr.column} has no similarity relation"
-            )
-        for v in (v1, v2):
-            if v.kind not in UNORDERED_KINDS and v.kind is not ValueKind.LABEL:
-                raise FuzzyValueError(
-                    f"{v.kind.value} value is not comparable on an unordered (type 3) attribute"
-                )
-        return similarity_eq(v1, v2, attr.similarity)
-    raise FuzzyValueError(f"unsupported fuzzy type {attr.ftype!r}")
+        refused = f"{{}} value is not comparable on an ordered (type {attr.ftype}) attribute"
+        against = None  # the operand's corners
+        for cell in cells:
+            if isinstance(cell, FuzzyValue):
+                kind = cell.kind
+                if kind is _UNKNOWN:
+                    append(1.0)
+                    continue
+                if kind is _UNDEFINED or kind is _NULL:
+                    append(0.0)
+                    continue
+                corners = value_corners(cell, resolve, refused)
+            else:
+                corners = number_corners(number(cell))
+            if against is None:
+                against = value_corners(operand, resolve, refused)
+            append(possibility_eq_corners(corners, against))
+        return out
+    weights = None  # the operand's similarity row; row holds its entry for each spelling met
+    for cell in cells:
+        if isinstance(cell, FuzzyValue):
+            kind = cell.kind
+            if kind is _UNKNOWN:
+                append(1.0)
+                continue
+            if kind is _UNDEFINED or kind is _NULL:
+                append(0.0)
+                continue
+        else:
+            number_corners(number(cell))
+            kind = _CRISP
+        if weights is None:  # attr, then the cell, then the operand
+            if attr.ftype != 3:
+                raise FuzzyValueError(f"unsupported fuzzy type {attr.ftype!r}")
+            rel = attr.similarity
+            if rel is None:
+                raise SimilarityError(f"attribute {attr.table}.{attr.column} has no similarity relation")
+            _unordered(kind)
+            _unordered(operand.kind)
+            weights, row = _similarity_row(operand, rel), {}
+        elif kind is not _SIMPLE and kind is not _POSS_DIST and kind is not _LABEL:
+            _unordered(kind)
+        best = 0.0
+        for p, d in cell.pairs or ((1.0, cell.name),):
+            s = row.get(d)
+            if s is None:
+                s = row[d] = weights[_position(rel, d)]
+            # best = max(best, min(p, s)); each keeps its first argument on a tie
+            if s >= p:
+                s = p
+            if s > best:
+                best = s
+        append(best)
+    return out

@@ -21,8 +21,8 @@ distinct cell object of a column becomes text once, through one table of
 text functions by value kind (_KIND_TEXT, which render_value uses too), and
 the lines are joined from the column texts, byte for byte as rendering row by
 row would write them.  _per_distinct is the one "once per distinct cell
-object" rule of the writer, the renderer and scalar conditions; ordered
-conditions run their kernel over every cell, which costs less than the memo.
+object" rule, of the writer and the renderer.  execute holds no degree
+arithmetic: each condition is one call of core.feq_column over its column.
 execute, save_table and format_result check a plain cell that is not text
 through one function, _number (format_number checks a float itself).
 """
@@ -50,16 +50,7 @@ from .catalog import (
     cell_encoder,
     parse_number,
 )
-from .core import (
-    FuzzyValue,
-    ValueKind,
-    feq,
-    fold_name,
-    format_number,
-    number_corners,
-    possibility_eq_corners,
-    value_corners,
-)
+from .core import FuzzyValue, ValueKind, feq_column, fold_name, format_number
 from .errors import ConversionError, DataFileError, FuzzyDbError, undecodable_line
 from .fsql.compiler import (
     CompiledCondition,
@@ -100,11 +91,11 @@ _SHARED_KINDS = frozenset(
 def _per_distinct(fn: Callable[[Iterable], Iterable], column) -> list:
     """The result of each cell of column, where fn maps the distinct cells, in order, to theirs.
 
-    Cells are told apart by object (their id): column keeps them alive, they
-    cannot change (values are frozen, plain cells immutable), and load_table
-    and execute share repeated ones, so one object's result serves all its
-    cells.  Equal cells that encode or render differently stay apart (0.0
-    and -0.0, 1 and True).
+    save_table and the renderers use it.  Cells are told apart by object
+    (their id): column keeps them alive, they cannot change (values are
+    frozen, plain cells immutable), and load_table shares repeated ones, so
+    one object's result serves all its cells.  Equal cells that encode or
+    render differently stay apart (0.0 and -0.0, 1 and True).
     """
     keys = list(map(id, column))
     cells = dict(zip(keys, column))
@@ -386,57 +377,6 @@ class Result:
     plan: Optional[CompiledPlan] = None
 
 
-def _degree(cond: CompiledCondition, cell) -> float:
-    """feq of cond on one cell, a plain cell read as the crisp number it holds."""
-    value = cell if isinstance(cell, FuzzyValue) else FuzzyValue.crisp(_number(cell))
-    return feq(value, cond.operand, cond.attr)
-
-
-def _ordered_degrees(cond: CompiledCondition, cells: list) -> List[float]:
-    """_degree of cond, a condition on an ordered (type 1 or 2) column, on each of cells.
-
-    Each cell is reduced to its trapezoid's corners by core's rule for its
-    kind, with no Trapezoid or FuzzyValue built, and compared with the
-    operand's corners, resolved once, by core's closed form: the arithmetic
-    feq does, so the degrees are feq's bit for bit.  The specials need no
-    operand, so it is resolved at the first cell that is not one.  A cell
-    feq would refuse raises a FuzzyDbError here too, though not always feq's.
-    """
-    # bound once: a member lookup on the enum class costs about 0.13 us a time
-    unknown, undefined, null = ValueKind.UNKNOWN, ValueKind.UNDEFINED, ValueKind.NULL
-    resolve = cond.attr.trapezoid_for
-    operand = None
-    out = []
-    append = out.append
-    for cell in cells:
-        if isinstance(cell, FuzzyValue):
-            kind = cell.kind
-            if kind is unknown:
-                append(1.0)
-                continue
-            if kind is undefined or kind is null:
-                append(0.0)
-                continue
-            corners = value_corners(cell, resolve)
-        else:
-            corners = number_corners(_number(cell))
-        if operand is None:
-            operand = value_corners(cond.operand, resolve)
-        append(possibility_eq_corners(corners, operand))
-    return out
-
-
-def _condition_degrees(cond: CompiledCondition, column: List[object]) -> List[float]:
-    """_degree of cond on each cell of column.
-
-    An ordered (type 1 or 2) column goes through _ordered_degrees, cell by
-    cell; a scalar one through feq, once per distinct cell object.
-    """
-    if cond.attr.ftype is FuzzyType.FUZZY_SCALAR:
-        return _per_distinct(lambda cells: [_degree(cond, cell) for cell in cells], column)
-    return _ordered_degrees(cond, column)
-
-
 def _passes(node, degrees: List[List[float]]) -> List[bool]:
     """Whether each row satisfies the filter node, given every condition's degrees."""
     if isinstance(node, CompiledCondition):
@@ -449,39 +389,33 @@ def _passes(node, degrees: List[List[float]]) -> List[bool]:
 def execute(plan: CompiledPlan, table: Table) -> Result:
     """Run a compiled plan over a loaded table.
 
-    Execution goes a column at a time: each condition's degrees come from its
-    column.  A condition on an ordered (type 1 or 2) column runs one kernel
-    over every cell, on trapezoid corners through core's closed form, and
-    gives feq's degrees bit for bit; one on a scalar column calls feq once
-    per distinct cell object, so the saving grows with the repeated values
-    that load_table shares.  The filter tree combines those degree lists;
-    every kept row carries every condition's degree, even when another
-    branch already decided it.  Row order is preserved.
+    Execution goes a column at a time: each condition's degrees are one
+    core.feq_column over its column, feq's bit for bit.  The filter tree
+    combines those degree lists; every kept row carries every condition's
+    degree, even when another branch already decided it.  Row order is kept.
 
-    A cell that cannot be compared raises what feq raises for the first such
-    cell in row order, then condition order; a plain cell that is not a
-    number raises the ConversionError save_table gives for it.  A row too
-    short for a column the plan reads raises save_table's "expected N cells,
-    found M" for the first row shorter than the schema.
+    A row whose width is not the schema's raises save_table's "expected N
+    cells, found M" for the first such row, before any degree is computed.
+    Then a cell that cannot be compared raises what feq raises for the first
+    such cell in row order, then condition order; a plain cell that is not a
+    number raises the ConversionError save_table gives for it.
     """
     start = time.perf_counter()
     rows = table.rows
+    width = len(table.schema)
+    if set(map(len, rows)) - {width}:
+        found = next(n for n in map(len, rows) if n != width)
+        raise ConversionError(f"expected {width} cells, found {found}")
 
     def cells(attr: AttributeDescriptor, of_rows) -> List[object]:
-        try:
-            return list(map(operator.itemgetter(table.column_index(attr.column)), of_rows))
-        except IndexError:
-            width = len(table.schema)
-            short = next(row for row in rows if len(row) < width)
-            raise ConversionError(f"expected {width} cells, found {len(short)}") from None
+        return list(map(operator.itemgetter(table.column_index(attr.column)), of_rows))
 
     try:
-        degrees = [_condition_degrees(cond, cells(cond.attr, rows)) for cond in plan.conditions]
+        degrees = [feq_column(c.operand, c.attr, cells(c.attr, rows), _number) for c in plan.conditions]
     except FuzzyDbError:
-        # raise what the first cell at fault raises, in row order, then condition order
-        for row in rows:
-            for cond in plan.conditions:
-                _degree(cond, cells(cond.attr, [row])[0])
+        for row in rows:  # raise what the first cell at fault raises, in row order, then condition order
+            for c in plan.conditions:
+                feq_column(c.operand, c.attr, cells(c.attr, [row]), _number)
         raise
     keep = None if plan.tree is None else _passes(plan.tree, degrees)
     kept = rows if keep is None else list(compress(rows, keep))

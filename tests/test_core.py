@@ -4,12 +4,14 @@ import copy
 import math
 import pickle
 import re
+import types
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from fuzzydb import (
     AttributeDescriptor,
+    FuzzyDbError,
     FuzzyValue,
     FuzzyValueError,
     LabelDefinition,
@@ -26,6 +28,8 @@ from fuzzydb import (
     validate_similarity,
 )
 from fuzzydb.core import number_corners, possibility_eq_corners, value_corners
+
+from feq_oracle import oracle_feq, oracle_similarity_eq
 
 # lattice of exactly representable floats keeps identities exact under +/-
 lattice = st.integers(-40, 80).map(lambda k: k / 2)
@@ -442,6 +446,29 @@ def make_scalar_attr():
     return attr
 
 
+# Values of every kind, with label names and elements in and out of the
+# attributes' domains, in other spellings, and numeric elements.
+ANY_VALUES = [
+    FuzzyValue.unknown(), FuzzyValue.undefined(), FuzzyValue.null(),
+    FuzzyValue.interval(20, 25), FuzzyValue.approx(26, 3), FuzzyValue.trapezoid(15, 20, 25, 30),
+    FuzzyValue.label("young"), FuzzyValue.label("YOUNG"), FuzzyValue.label("vague"),
+    FuzzyValue.label("nope"), FuzzyValue.label("rubio"), FuzzyValue.label("Pelirrojo"),
+    FuzzyValue.simple(0.5, "rubio"), FuzzyValue.simple(1, "MORENO"), FuzzyValue.simple(1, "nope"),
+    FuzzyValue.simple(0.5, 3.0), FuzzyValue.poss_dist([(0.5, "rubio"), (0.8, "pelirrojo")]),
+    FuzzyValue.poss_dist([(1, "moreno"), (0.5, "nope")]), FuzzyValue.poss_dist([(1, 3), (0.5, 4)]),
+]
+
+
+def feq_attrs():
+    """feq's attributes by name: labels with and without a trapezoid, relations present or not."""
+    ordered = make_ordered_attr()
+    ordered.attach_label(LabelDefinition(1, "young", Trapezoid(15, 20, 25, 30)))
+    ordered.attach_label(LabelDefinition(2, "vague"))
+    return {"ordered": ordered, "scalar": make_scalar_attr(),
+            "no relation": AttributeDescriptor("people", "hair", 3, "scalar"),
+            "unsupported": types.SimpleNamespace(ftype=4, table="people", column="x")}
+
+
 class TestFeq:
     def test_unknown_wins_over_everything(self):
         attr = make_ordered_attr()
@@ -482,3 +509,58 @@ class TestFeq:
         attr = AttributeDescriptor("people", "hair", 3, "scalar")
         with pytest.raises(SimilarityError):
             feq(FuzzyValue.label("rubio"), FuzzyValue.label("rubio"), attr)
+
+    @pytest.mark.parametrize("args, name", [
+        ((3.0, FuzzyValue.crisp(3)), "v1"),
+        ((FuzzyValue.crisp(3), 3.0), "v2"),
+        (("young", None), "v1"),
+    ])
+    def test_refuses_an_argument_that_is_not_a_value(self, args, name):
+        got = repr(args[0] if name == "v1" else args[1])
+        message = f"feq: {name} must be a FuzzyValue, got {got}"
+        with pytest.raises(FuzzyValueError, match=f"^{re.escape(message)}$"):
+            feq(*args, make_ordered_attr())
+
+    @settings(max_examples=500, deadline=None)
+    @given(attr=st.sampled_from(["ordered", "scalar", "no relation", "unsupported"]),
+           v1=st.one_of(st.sampled_from(ANY_VALUES), st.builds(FuzzyValue.crisp, lattice)),
+           v2=st.one_of(st.sampled_from(ANY_VALUES), st.builds(FuzzyValue.crisp, lattice)))
+    def test_raises_exactly_when_the_oracle_raises(self, attr, v1, v2):
+        attr = feq_attrs()[attr]
+        try:
+            expected = oracle_feq(v1, v2, attr)
+        except FuzzyDbError:
+            with pytest.raises(FuzzyDbError):
+                feq(v1, v2, attr)
+        else:
+            assert repr(feq(v1, v2, attr)) == repr(expected)
+
+
+class TestSimilarityEqArguments:
+    @pytest.mark.parametrize("args, name", [
+        (("rubio", FuzzyValue.label("rubio")), "a"),
+        ((FuzzyValue.label("rubio"), "rubio"), "b"),
+    ])
+    def test_refuses_an_argument_that_is_not_a_value(self, args, name):
+        rel = SimilarityRelation.identity(["rubio"])
+        message = f"similarity_eq: {name} must be a FuzzyValue, got 'rubio'"
+        with pytest.raises(FuzzyValueError, match=f"^{message}$"):
+            similarity_eq(*args, rel)
+
+    @pytest.mark.parametrize("rel", [None, [[1.0]]])
+    def test_refuses_a_relation_that_is_not_one(self, rel):
+        label = FuzzyValue.label("rubio")
+        message = f"similarity_eq: rel must be a SimilarityRelation, got {rel!r}"
+        with pytest.raises(SimilarityError, match=f"^{re.escape(message)}$"):
+            similarity_eq(label, label, rel)
+
+    @given(a=st.sampled_from(ANY_VALUES), b=st.sampled_from(ANY_VALUES))
+    def test_matches_the_oracle_or_raises_with_it(self, a, b):
+        rel = make_scalar_attr().similarity
+        try:
+            expected = oracle_similarity_eq(a, b, rel)
+        except FuzzyDbError:
+            with pytest.raises(FuzzyDbError):
+                similarity_eq(a, b, rel)
+        else:
+            assert repr(similarity_eq(a, b, rel)) == repr(expected)

@@ -28,13 +28,13 @@ from fuzzydb import (
     FuzzyValueError,
     LabelDefinition,
     Result,
+    SimilarityRelation,
     Table,
     case_study_dir,
     compile_query,
     decode_row,
     encode_value,
     execute,
-    feq,
     format_cell,
     format_number,
     format_result,
@@ -46,9 +46,11 @@ from fuzzydb import (
     save_table,
 )
 from fuzzydb import engine
-from fuzzydb.core import ValueKind
+from fuzzydb.core import ValueKind, feq_column, fold_name
 from fuzzydb.fsql.compiler import CompiledCondition, CompiledPlan, DegreeColumn, PhysicalColumn
 from fuzzydb.fsql.parser import And
+
+from feq_oracle import oracle_feq, oracle_outcome
 
 FLAGSHIP = (
     "SELECT cartulina.% FROM cartulina WHERE tono_cara FEQ $blanco THOLD 0.5 "
@@ -776,7 +778,7 @@ class TestExecute:
         expected = []
         decided_early = 0
         for row in table.rows:
-            d = [feq(row[table.column_index(c.attr.column)], c.operand, c.attr)
+            d = [oracle_feq(row[table.column_index(c.attr.column)], c.operand, c.attr)
                  for c in plan.conditions]
             if any(x >= 0.99 for x in d):
                 # % adds one CDEG per condition; CDEG(tono_cara) is the min of conditions 1 and 3
@@ -808,7 +810,7 @@ class TestExecute:
 
 
 def oracle_execute(plan, table):
-    """Row at a time: feq per row and condition, then a recursive walk of the filter tree."""
+    """Row at a time: oracle_feq per row and condition, then a recursive walk of the filter tree."""
 
     def satisfied(node, degrees):
         if isinstance(node, CompiledCondition):
@@ -822,7 +824,7 @@ def oracle_execute(plan, table):
         for cond in plan.conditions:
             cell = row[table.column_index(cond.attr.column)]
             value = cell if isinstance(cell, FuzzyValue) else FuzzyValue.crisp(cell)
-            degrees.append(feq(value, cond.operand, cond.attr))
+            degrees.append(oracle_feq(value, cond.operand, cond.attr))
         if plan.tree is None or satisfied(plan.tree, degrees):
             out.append([
                 row[table.column_index(col.attr.column)] if isinstance(col, PhysicalColumn)
@@ -948,45 +950,45 @@ def kernel_cells(labels):
 
 
 def feq_degrees(cond, cells):
-    """The oracle: feq on each cell, a plain cell as the crisp number it holds."""
-    return [feq(cell if isinstance(cell, FuzzyValue) else FuzzyValue.crisp(cell),
-                cond.operand, cond.attr) for cell in cells]
+    """The oracle: oracle_feq on each cell, a plain cell as the crisp number it holds."""
+    return [oracle_feq(cell if isinstance(cell, FuzzyValue) else FuzzyValue.crisp(cell),
+                       cond.operand, cond.attr) for cell in cells]
+
+
+def kernel_degrees(cond, cells):
+    """The kernel on cond's column, as execute calls it."""
+    return feq_column(cond.operand, cond.attr, cells, engine._number)
 
 
 def kernel_condition(data, catalog):
     column = data.draw(st.sampled_from(sorted(LOTS_LABELS)))
+    # the operands a compile makes, and the specials
     operand = data.draw(st.one_of(st.sampled_from(LOTS_LABELS[column]).map(FuzzyValue.label),
-                                  KERNEL_NUMBERS.map(FuzzyValue.crisp)))
+                                  KERNEL_NUMBERS.map(FuzzyValue.crisp), SPECIALS))
     return CompiledCondition(0, catalog.get("lots", column), operand, 0.0)
 
 
 class TestOrderedKernel:
-    """The ordered-column kernel against feq, cell by cell, every bit and the sign of zero."""
+    """feq_column on ordered columns against oracle_feq, every bit and the sign of zero."""
 
     @settings(max_examples=400, deadline=None)
     @given(data=st.data())
     def test_matches_feq_bit_for_bit(self, lots_catalog, data):
         cond = kernel_condition(data, lots_catalog)
         cells = data.draw(st.lists(kernel_cells(LOTS_LABELS[cond.attr.column]), max_size=20))
-        expected = repr(feq_degrees(cond, cells))
-        assert repr(engine._ordered_degrees(cond, cells)) == expected
-        assert repr(engine._condition_degrees(cond, cells)) == expected  # once per distinct cell
+        assert repr(kernel_degrees(cond, cells)) == repr(feq_degrees(cond, cells))
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
     def test_refuses_what_feq_refuses(self, lots_catalog, data):
+        # the same error, type and message, for the first cell at fault
         cond = kernel_condition(data, lots_catalog)
         faults = st.sampled_from([FuzzyValue.simple(1, "satin"), FuzzyValue.label("nope"),
                                   FuzzyValue.poss_dist([(1, 3), (0.5, 4)]), math.inf, math.nan])
         cells = data.draw(st.lists(st.one_of(kernel_cells(LOTS_LABELS[cond.attr.column]), faults),
                                    max_size=8))
-        try:
-            expected = feq_degrees(cond, cells)
-        except FuzzyDbError:
-            with pytest.raises(FuzzyDbError):
-                engine._ordered_degrees(cond, cells)
-        else:
-            assert repr(engine._ordered_degrees(cond, cells)) == repr(expected)
+        assert (oracle_outcome(kernel_degrees, cond, cells)
+                == oracle_outcome(feq_degrees, cond, cells))
 
     @pytest.mark.parametrize("ftype", [1, 2])
     def test_operand_is_resolved_only_for_a_cell_that_is_not_special(self, ftype):
@@ -1000,8 +1002,7 @@ class TestOrderedKernel:
                     FuzzyValue.unknown()]
         for cells in ([], specials):
             expected = feq_degrees(cond, cells)
-            assert repr(engine._ordered_degrees(cond, cells)) == repr(expected)
-            assert repr(engine._condition_degrees(cond, cells)) == repr(expected)
+            assert repr(kernel_degrees(cond, cells)) == repr(expected)
             result = execute(plan, Table("lots", [attr], [[cell] for cell in cells]))
             assert repr(result.rows) == repr([[d] for d in expected])  # THOLD 0 keeps them all
         for cell in (FuzzyValue.crisp(1), 1.0):
@@ -1009,6 +1010,72 @@ class TestOrderedKernel:
                 feq_degrees(cond, [*specials, cell])
             with pytest.raises(CatalogError, match=f"^{re.escape(str(err.value))}$"):
                 execute(plan, Table("lots", [attr], [[c] for c in [*specials, cell]]))
+
+
+# Scalar-kernel inputs: the lots finishes in other spellings, names and numbers
+# outside the domain, and degrees at the ends of [0, 1].
+FINISHES = ["matte", "satin", "gloss"]
+SPELLINGS = st.sampled_from(FINISHES).flatmap(
+    lambda name: st.sampled_from([name, name.upper(), name.title()]))
+ELEMENTS = st.one_of(SPELLINGS, st.sampled_from(["nope", "mate"]), st.sampled_from([3.0, -0.0]))
+POSSIBILITIES = st.one_of(st.sampled_from([1.0, 0.5, 5e-324]), st.floats(0, 1, exclude_min=True))
+SIMILARITIES = st.one_of(st.sampled_from([0.0, -0.0, 1.0, 0, 1, 0.5]), st.floats(0, 1))
+
+
+def scalar_kernel_cells():
+    """Specials, simple, poss_dist and label cells, plain numbers and ordered kinds."""
+    names = st.lists(st.one_of(SPELLINGS, st.sampled_from(["nope", "mate"])), min_size=1,
+                     max_size=3, unique_by=fold_name)
+    numbers = st.lists(st.sampled_from([3.0, 4.5, -0.0]), min_size=1, max_size=2, unique=True)
+    return st.one_of(
+        SPECIALS,
+        st.tuples(POSSIBILITIES, ELEMENTS).map(lambda t: FuzzyValue.simple(*t)),
+        st.one_of(names, numbers).flatmap(lambda elements: st.lists(
+            POSSIBILITIES, min_size=len(elements), max_size=len(elements)).map(
+                lambda ps: FuzzyValue.poss_dist(zip(ps, elements)))),
+        st.one_of(SPELLINGS, st.just("nope")).map(FuzzyValue.label),
+        st.sampled_from([0, 1.5, -0.0, True, math.inf]),
+        st.sampled_from([FuzzyValue.crisp(1), FuzzyValue.interval(1, 2)]),
+    )
+
+
+def scalar_kernel_attr(data, catalog):
+    """The catalog's finish column, one with a hand-built asymmetric relation, or one with none."""
+    labels = [LabelDefinition(i + 1, name) for i, name in enumerate(FINISHES)]
+    matrix = data.draw(st.lists(st.lists(SIMILARITIES, min_size=3, max_size=3),
+                                min_size=3, max_size=3))
+    return data.draw(st.sampled_from([
+        catalog.get("lots", "finish"),
+        AttributeDescriptor("lots", "finish", 3, "scalar", labels=labels,
+                            similarity=SimilarityRelation(FINISHES, matrix)),
+        AttributeDescriptor("lots", "finish", 3, "scalar", labels=labels),
+    ]))
+
+
+class TestScalarKernel:
+    """feq_column on scalar columns against oracle_feq: the same degrees, or the same error."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data())
+    def test_matches_feq_or_its_error(self, lots_catalog, data):
+        attr = scalar_kernel_attr(data, lots_catalog)
+        operand = data.draw(st.one_of(SPELLINGS.map(FuzzyValue.label), SPECIALS))
+        cond = CompiledCondition(0, attr, operand, 0.0)
+        cells = data.draw(st.lists(scalar_kernel_cells(), max_size=8))
+        assert (oracle_outcome(kernel_degrees, cond, cells)
+                == oracle_outcome(feq_degrees, cond, cells))
+
+    def test_an_asymmetric_relation_is_read_cell_first(self):
+        # s(cell element, operand element), as feq reads it
+        matrix = [[1.0, 0.25, 0.0], [0.75, 1.0, 0.0], [0.0, 0.0, 1.0]]
+        attr = AttributeDescriptor("lots", "finish", 3, "scalar",
+                                   similarity=SimilarityRelation(FINISHES, matrix))
+        cells = [FuzzyValue.label("matte"), FuzzyValue.simple(1, "SATIN"),
+                 FuzzyValue.poss_dist([(0.5, "matte"), (0.125, "gloss")])]
+        for operand, expected in (("satin", [0.25, 1.0, 0.25]), ("matte", [1.0, 0.75, 0.5])):
+            cond = CompiledCondition(0, attr, FuzzyValue.label(operand), 0.0)
+            assert feq_degrees(cond, cells) == expected
+            assert repr(kernel_degrees(cond, cells)) == repr(expected)
 
 
 class TestExecuteErrors:
@@ -1066,7 +1133,8 @@ class TestExecuteErrors:
         null = FuzzyValue.null()
         result = execute(plan, Table("lots", lots_catalog.table_schema("lots"),
                                      [[cell, null, null] for cell in cells]))
-        expected = [engine._degree(plan.conditions[0], cell) for cell in cells]
+        cond = plan.conditions[0]
+        expected = [oracle_feq(FuzzyValue.crisp(cell), cond.operand, cond.attr) for cell in cells]
         assert repr([degree for _, degree in result.rows]) == repr(expected)
         assert all(row[0] is cell for row, cell in zip(result.rows, cells))
         cells[1], cells[3] = [1], None  # unhashable and not a number: the first row's error
@@ -1076,6 +1144,7 @@ class TestExecuteErrors:
 
     @pytest.mark.parametrize("sql", [
         "SELECT pilas.% FROM pilas",
+        "SELECT cod_pila FROM pilas",  # reads none of the missing cells
         "SELECT cod_pila FROM pilas WHERE estado FEQ $mojado THOLD 0",
         # the first fault in row order: the short row comes before a cell feq refuses
         "SELECT cod_pila FROM pilas WHERE formato_largo FEQ 65 THOLD 0 AND estado FEQ $mojado",
@@ -1090,6 +1159,30 @@ class TestExecuteErrors:
             save_table(table, tmp_path / "pilas.csv")
         assert str(saved.value).endswith(":3: expected 4 cells, found 3")
         with pytest.raises(ConversionError, match="^expected 4 cells, found 3$"):
+            run_query(sql, case_catalog, tables={"pilas": table})
+
+
+    @pytest.mark.parametrize("sql", ["SELECT pilas.% FROM pilas", "SELECT cod_pila FROM pilas"])
+    def test_long_row_is_refused_as_save_table_refuses_it(self, case_catalog, case_tables,
+                                                          tmp_path, sql):
+        table = case_tables["pilas"]
+        table.rows[2].append("extra")
+        with pytest.raises(ConversionError) as saved:
+            save_table(table, tmp_path / "pilas.csv")
+        assert str(saved.value).endswith(":4: expected 4 cells, found 5")
+        with pytest.raises(ConversionError, match="^expected 4 cells, found 5$"):
+            run_query(sql, case_catalog, tables={"pilas": table})
+
+    def test_wrong_width_comes_before_any_degree_fault(self, case_catalog, case_tables):
+        # as in save_table: the width of every row is checked before any cell
+        table = case_tables["pilas"]
+        table.rows[0][table.column_index("formato_largo")] = FuzzyValue.simple(1, "x")
+        table.rows[5].append(FuzzyValue.null())
+        sql = "SELECT cod_pila FROM pilas WHERE formato_largo FEQ 65 THOLD 0"
+        with pytest.raises(ConversionError, match="^expected 4 cells, found 5$"):
+            run_query(sql, case_catalog, tables={"pilas": table})
+        table.rows[5].pop()
+        with pytest.raises(FuzzyValueError, match="^simple value is not comparable"):
             run_query(sql, case_catalog, tables={"pilas": table})
 
 
