@@ -663,6 +663,8 @@ def _read_tsv(path, header: Tuple[str, ...], required: bool):
             rows = [(reader.line_num, row) for row in reader if any(row)]
         except UnicodeDecodeError:
             raise CatalogError(f"{path}:{undecodable_line(path)}: not valid UTF-8") from None
+        except csv.Error as exc:  # a field longer than csv.field_size_limit(), say
+            raise CatalogError(f"{path}:{reader.line_num}: {exc}") from None
     if not rows or tuple(rows[0][1]) != header:
         raise CatalogError(f"{path}: expected header {list(header)}")
     for lineno, row in rows[1:]:

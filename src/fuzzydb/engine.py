@@ -9,8 +9,10 @@ load_table decodes each cell text once per column: one decoder per column
 reads the text, repeated plain cells and cells of the small-vocabulary kinds
 share one (immutable) value object, and repeated scalar pairs share one tuple.
 run_query keeps the rows of every table file it read under the current
-catalog and data dir, so that reading one again decodes only the records that
-changed; the kept rows die with that catalog.
+catalog and data dir (they die with that catalog): a reread serves each
+unchanged one-line record by looking its line up, before the CSV reader, and
+decodes only the records that changed.  A field longer than
+csv.field_size_limit() is a DataFileError naming path:line.
 
 save_table is the mirror of load_table: one encoder per column writes each
 distinct value object once, straight to the cell text the column's decoder
@@ -189,26 +191,16 @@ def format_cell(value, attr: AttributeDescriptor) -> str:
     return _cell_encoder(attr)(value)
 
 
-def _utf8_lines(f, path, consumed: List[str]):
-    """The lines of f, also appended to consumed; a non-UTF-8 byte is an error naming its line."""
-    try:
-        for line in f:
-            consumed.append(line)
-            yield line
-    except UnicodeDecodeError:
-        raise DataFileError(f"{path}:{undecodable_line(path)}: not valid UTF-8") from None
-
-
 @dataclass
 class RecordCache:
     """The rows of the table file read last through it, by record text.
 
-    A record's text is the physical line or lines the CSV reader consumed for
-    it.  The rows are reused only by a read of the same path under the same
-    descriptor objects and the same header positions, which is all a row's
-    decoding depends on besides its text (labels are only ever added, and
-    that cannot change a row that decoded).  run_query keeps one per table
-    (_last_read).
+    A record's text is the line or lines it takes in the file, and load_table
+    looks a one-line record up by its line before the CSV reader sees it.  The
+    rows are reused only by a read of the same path under the same descriptor
+    objects and the same header positions, which is all a row's decoding
+    depends on besides its text (labels are only ever added, and that cannot
+    change a row that decoded).  run_query keeps one per table (_last_read).
     """
 
     source: Optional[tuple] = None  # (path, header position of each schema column, schema)
@@ -238,7 +230,10 @@ def load_table(
 
     With reuse, only records whose text reuse does not hold are decoded, and
     reuse then holds this file's rows (shared, so not to be changed), or
-    nothing if the read fails.
+    nothing if the read fails.  A line that reuse holds as a whole record is
+    served by lookup, without the CSV reader: from a record boundary it is that
+    record again.  The reader takes the other lines, and further ones only
+    while a quoted field is open.  A cold read runs the same loop.
     """
     held_source, known = reuse.take() if reuse is not None else (None, {})
     schema = catalog.table_schema(table_name)
@@ -247,62 +242,86 @@ def load_table(
         f = open(path, encoding="utf-8-sig", newline="")
     except OSError as exc:
         raise DataFileError(f"cannot open table file: {exc}") from None
+    pushed, taken = [], []  # the line handed to the reader; the further lines it took for it
+
+    def feed():
+        # the reader's input: the line pushed, else the next line of f, which the
+        # reader asks for only for the header and while a quoted field is open
+        while True:
+            while pushed:
+                yield pushed.pop()
+            line = next(f, None)
+            if line is None:
+                return
+            taken.append(line)
+            yield line
+
+    reader = csv.reader(feed())
+    rows = []
+    read = 0  # rows the reader read; each other row is one line that reader.line_num misses
+
+    def at() -> str:  # path:line of the last line read, by the reader or by lookup
+        return f"{path}:{reader.line_num + len(rows) - read}"
+
     with f:
-        consumed = []  # the physical lines of the record just read
-        reader = csv.reader(_utf8_lines(f, path, consumed))
         try:
-            header = next(reader)
-        except StopIteration:
-            raise DataFileError(f"{path}: empty table file") from None
-        consumed.clear()
-        folded = [fold_name(name.strip()) for name in header]
-        if sorted(folded) != sorted(by_name):
-            raise DataFileError(
-                f"{path}: header {header!r} does not match the registered columns "
-                f"{[a.column for a in schema]!r}"
-            )
-        positions = {name: i for i, name in enumerate(folded)}
-        source = (os.fspath(path), [positions[fold_name(attr.column)] for attr in schema], schema)
-        if not _same_source(held_source, source):
-            known = {}  # the old rows go before any record is decoded
-        records = {} if reuse is not None else None
-        # Per column: where its cells sit, its decoder, and the values already
-        # decoded from each cell text, which repeated cells share (values are
-        # frozen, plain ones immutable).
-        columns = [
-            (attr, src, _cell_decoder(attr), {}) for attr, src in zip(schema, source[1])
-        ]
-        rows = []
-        decoded = 0
-        for raw in reader:
-            record = consumed[0] if len(consumed) == 1 else "".join(consumed)
-            consumed.clear()
-            if not raw:
-                continue
-            cells = known.get(record)
-            if cells is None:
-                if len(raw) != len(header):
-                    raise DataFileError(
-                        f"{path}:{reader.line_num}: expected {len(header)} cells, found {len(raw)}"
-                    )
-                decoded += 1
-                cells = []
-                for attr, src, decode, seen in columns:
-                    text = raw[src]
-                    value = seen.get(text)
-                    if value is None:
-                        try:
-                            value = decode(text)
-                        except FuzzyDbError as exc:
+            header = next(reader, None)
+            if header is None:
+                raise DataFileError(f"{path}: empty table file")
+            taken.clear()
+            folded = [fold_name(name.strip()) for name in header]
+            if sorted(folded) != sorted(by_name):
+                raise DataFileError(
+                    f"{path}: header {header!r} does not match the registered columns "
+                    f"{[a.column for a in schema]!r}"
+                )
+            positions = {name: i for i, name in enumerate(folded)}
+            source = (os.fspath(path), [positions[fold_name(a.column)] for a in schema], schema)
+            if not _same_source(held_source, source):
+                known = {}  # the old rows go before any record is decoded
+            records = {} if reuse is not None else None
+            # Per column: where its cells sit, its decoder, and the values already
+            # decoded from each cell text, which repeated cells share (values are
+            # frozen, plain ones immutable).
+            columns = [(attr, src, _cell_decoder(attr), {}) for attr, src in zip(schema, source[1])]
+            decoded = 0
+            for line in f:
+                cells = known.get(line)
+                if cells is None:
+                    pushed.append(line)
+                    raw = next(reader)
+                    if not raw:
+                        continue
+                    if taken:  # a multi-line record is known by all its lines
+                        line += "".join(taken)
+                        taken.clear()
+                        cells = known.get(line)
+                    if cells is None:
+                        if len(raw) != len(header):
                             raise DataFileError(
-                                f"{path}:{reader.line_num}: column {attr.column}: {exc}"
-                            ) from None
-                        if not isinstance(value, FuzzyValue) or value.kind in _SHARED_KINDS:
-                            seen[text] = value
-                    cells.append(value)
-            if records is not None:
-                records[record] = cells
-            rows.append(cells)
+                                f"{at()}: expected {len(header)} cells, found {len(raw)}")
+                        decoded += 1
+                        cells = []
+                        for attr, src, decode, seen in columns:
+                            text = raw[src]
+                            value = seen.get(text)
+                            if value is None:
+                                try:
+                                    value = decode(text)
+                                except FuzzyDbError as exc:
+                                    raise DataFileError(
+                                        f"{at()}: column {attr.column}: {exc}") from None
+                                if not isinstance(value, FuzzyValue) or value.kind in _SHARED_KINDS:
+                                    seen[text] = value
+                            cells.append(value)
+                    read += 1
+                if records is not None:
+                    records[line] = cells
+                rows.append(cells)
+        except UnicodeDecodeError:
+            raise DataFileError(f"{path}:{undecodable_line(path)}: not valid UTF-8") from None
+        except csv.Error as exc:  # a field longer than csv.field_size_limit(), say
+            raise DataFileError(f"{at()}: {exc}") from None
     if reuse is not None:
         reuse.source, reuse.rows = source, records
     return Table(catalog.table_name(table_name), list(schema), rows, decoded)

@@ -198,6 +198,22 @@ class TestBadInput:
         assert self.query(case_copy) == 2
         assert "personas.csv:6: not valid UTF-8" in capsys.readouterr().err
 
+    def test_oversized_table_field(self, capsys, case_copy):
+        with open(case_copy / "personas.csv", "a", encoding="utf-8") as f:
+            f.write("x" * 140_000 + ",0,0\n")
+        assert self.query(case_copy) == 2
+        err = capsys.readouterr().err
+        assert "personas.csv:10: field larger than field limit (131072)" in err
+        assert "Traceback" not in err
+
+    def test_oversized_label_field(self, capsys, case_copy):
+        with open(case_copy / "labels.tsv", "a", encoding="utf-8") as f:
+            f.write("personas\tpelo\t99\t" + "x" * 140_000 + "\t\t\t\t\n")
+        assert self.query(case_copy) == 2
+        err = capsys.readouterr().err
+        assert "labels.tsv:50: field larger than field limit (131072)" in err
+        assert "Traceback" not in err
+
 
 class TestRepl:
     def run(self, monkeypatch, capsys, script, argv=()):
@@ -238,6 +254,17 @@ class TestRepl:
         code, out, err = self.run(monkeypatch, capsys, script)
         assert code == 0
         assert "error:" in err
+        assert "(1 row)" in out
+
+    def test_oversized_field_keeps_the_loop_running(self, monkeypatch, capsys, case_copy):
+        with open(case_copy / "personas.csv", "a", encoding="utf-8") as f:
+            f.write("x" * 140_000 + ",0,0\n")
+        script = ("SELECT nombre FROM personas\n"
+                  "SELECT cod_pila FROM pilas WHERE cod_pila FEQ 1\n.quit\n")
+        code, out, err = self.run(monkeypatch, capsys, script,
+                                  ["--catalog", str(case_copy), "--data-dir", str(case_copy)])
+        assert code == 0
+        assert "error: " in err and "personas.csv:10: field larger than field limit" in err
         assert "(1 row)" in out
 
     def test_catalog_and_help_commands(self, monkeypatch, capsys):

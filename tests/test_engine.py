@@ -1340,6 +1340,75 @@ class TestReloadReuse:
         assert result.stats.rows_decoded == 1
         assert result.rows == self.cold(tmp_path, case_catalog).rows
 
+    def test_continuation_line_equal_to_a_record_is_not_served(self, tmp_path, case_catalog):
+        # the quoted record's middle line is byte for byte the record before it
+        lines = ["Luis,0,0\n", "P1,0,2\n"]
+        self.write(tmp_path, lines)
+        assert self.query(tmp_path, case_catalog).stats.rows_decoded == 2
+        lines.insert(1, '"Ana\nLuis,0,0\nMaria",3;26;;;,0\n')
+        self.write(tmp_path, lines)
+        result = self.query(tmp_path, case_catalog)
+        assert [row[0] for row in result.rows] == ["Luis", "Ana\nLuis,0,0\nMaria", "P1"]
+        assert result.stats.rows_decoded == 1
+        assert result.rows == self.cold(tmp_path, case_catalog).rows
+        lines[2] = "P1,0,0\n"
+        lines.insert(0, "Luis,0,0\n")
+        self.write(tmp_path, lines)
+        result = self.query(tmp_path, case_catalog)
+        assert [row[0] for row in result.rows] == ["Luis", "Luis", "Ana\nLuis,0,0\nMaria", "P1"]
+        assert result.stats.rows_decoded == 1
+        assert result.rows == self.cold(tmp_path, case_catalog).rows
+
+    @pytest.mark.parametrize("end", ["\r\n", "\r"])
+    def test_crlf_and_cr_line_ends(self, tmp_path, case_catalog, end):
+        lines = [line.replace("\n", end) for line in _person_lines(4)]
+        lines.insert(2, f'"Ana{end}Maria",0,0{end}')
+        self.write(tmp_path, lines, header="nombre,edad,pelo" + end)
+        first = self.query(tmp_path, case_catalog)
+        assert first.stats.rows_decoded == 5 and first.rows[2][0] == f"Ana{end}Maria"
+        again = self.query(tmp_path, case_catalog)
+        assert again.stats.rows_decoded == 0 and again.rows == first.rows
+        lines[0] = lines[0].replace(end, "\n")  # the same cells, another record text
+        lines[3] = f"P9,0,0{end}"
+        self.write(tmp_path, lines, header="nombre,edad,pelo" + end)
+        result = self.query(tmp_path, case_catalog)
+        assert result.stats.rows_decoded == 2
+        assert result.rows == self.cold(tmp_path, case_catalog).rows
+
+    def test_last_record_without_final_newline(self, tmp_path, case_catalog):
+        lines = _person_lines(3)
+        lines[-1] = lines[-1].rstrip("\n")
+        self.write(tmp_path, lines)
+        assert self.query(tmp_path, case_catalog).stats.rows_decoded == 3
+        assert self.query(tmp_path, case_catalog).stats.rows_decoded == 0
+        lines[-1] += "\n"
+        lines.append('"Ana\nMaria",0,0')
+        self.write(tmp_path, lines)
+        result = self.query(tmp_path, case_catalog)
+        assert [row[0] for row in result.rows] == ["P0", "P1", "P2", "Ana\nMaria"]
+        assert result.stats.rows_decoded == 2
+        assert result.rows == self.cold(tmp_path, case_catalog).rows
+        assert self.query(tmp_path, case_catalog).stats.rows_decoded == 0
+
+    @pytest.mark.parametrize("bad, message", [
+        ("P9,3;bad;;;,0\n", "column edad: "),
+        ("P9,0\n", "expected 3 cells, found 2"),
+        ("x" * 140_000 + ",0,0\n", "field larger than field limit (131072)"),
+    ], ids=["bad cell", "cell count", "oversized field"])
+    def test_warm_and_cold_reads_fail_alike(self, tmp_path, case_catalog, bad, message):
+        lines = _person_lines(4)
+        lines.insert(1, '"Ana\nLuis\nMaria",0,0\n')
+        self.write(tmp_path, lines)
+        self.query(tmp_path, case_catalog)
+        lines.insert(4, bad)  # on line 8: the header, P0, three lines of Ana, P1 and P2 before it
+        self.write(tmp_path, lines)
+        with pytest.raises(DataFileError) as warm:
+            self.query(tmp_path, case_catalog)
+        with pytest.raises(DataFileError) as cold:
+            load_table(tmp_path / "personas.csv", "personas", case_catalog)
+        assert str(warm.value) == str(cold.value)
+        assert str(warm.value).startswith(f"{tmp_path / 'personas.csv'}:8: {message}")
+
     @staticmethod
     def decoded(directory, table, catalog):
         return run_query(WARM_READS[table][0], catalog, data_dir=str(directory)).stats.rows_decoded
@@ -1414,12 +1483,19 @@ class TestReloadReuse:
             columns = [attr.column for attr in shared_catalog.table_schema(table)]
             # lines of specials, which read differently under either header, and a blank line
             either = [written([str((i + k) % 3) for i in range(len(columns))], 0) for k in (1, 2)]
-            pools[table] = [[written(list(cells), h) for cells in rows] + either + ["\n"]
-                            for h in (0, 1)]
+            pools[table] = []
+            for h in (0, 1):
+                lines = [written(list(cells), h) for cells in rows]
+                # the first line ending in \r\n and in \r, and each quoted two-line record
+                # with the first line put between its two lines
+                ends = [lines[0][:-1] + "\r\n", lines[0][:-1] + "\r"]
+                nested = [written([c.replace("\n", "\n" + lines[0]) for c in cells], h)
+                          for cells in rows if any("\n" in c for c in cells)]
+                pools[table].append(lines + ends + nested + either + ["\n"])
             headers = [written(columns, h) for h in (0, 1)]
             lines = data.draw(st.lists(st.sampled_from(pools[table][0]), max_size=6))
             files[table] = [headers, 0, lines]
-            self.write(directory, lines, headers[0], table=table)
+            self.write(directory, self.ended(lines, data), headers[0], table=table)
         for _ in range(data.draw(st.integers(1, 12))):
             table = data.draw(st.sampled_from(sorted(files)))
             headers, h, lines = files[table]
@@ -1440,9 +1516,16 @@ class TestReloadReuse:
                 lines.insert(i, lines[i])
             else:  # the same lines under the other header
                 files[table][1] = h = 1 - h
-            self.write(directory, lines, headers[h], table=table)
+            self.write(directory, self.ended(lines, data), headers[h], table=table)
             assert self.outcome(self.query, directory, shared_catalog, table) == \
                 self.outcome(self.cold, directory, shared_catalog, table)
+
+    @staticmethod
+    def ended(lines, data):
+        """lines, the last one without its line end half the time."""
+        if lines and data.draw(st.booleans()):
+            return lines[:-1] + [lines[-1].rstrip("\r\n")]
+        return lines
 
     @staticmethod
     def outcome(read, directory, catalog, table):
