@@ -26,7 +26,7 @@ import itertools
 import math
 import os
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .core import (
     FuzzyValue,
@@ -150,29 +150,21 @@ class AttributeDescriptor:
         return ld.trap
 
     def attach_label(self, ld: LabelDefinition) -> None:
-        """Append a label; a scalar domain's similarity relation grows with it."""
+        """Append a label; the similarity relation, if any, gains it, similar only to itself.
+
+        Catalog.register_attribute gives every unordered fuzzy column an empty
+        relation, so its relation's domain is its label list.
+        """
         key = fold_name(ld.name)
         if key in self._by_name:
             raise CatalogError(f"label {ld.name!r} is already defined for {self.qualified}")
         if self.label_by_id(ld.fuzzy_id) is not None:
             raise CatalogError(f"label id {ld.fuzzy_id} is already taken on {self.qualified}")
+        if self.similarity is not None:
+            self.similarity.add(ld.name)
         self.labels.append(ld)
         self._by_name[key] = ld
         self._by_id[ld.fuzzy_id] = ld
-        if self.similarity is not None:
-            old = self.similarity
-            n = len(old.domain)
-            matrix = [row + [0.0] for row in old.matrix]
-            matrix.append([0.0] * n + [1.0])
-            self.similarity = SimilarityRelation(old.domain + (ld.name,), matrix)
-
-    def ensure_similarity(self) -> SimilarityRelation:
-        """Similarity relation over the label set, created as identity on first use."""
-        if self.ftype is not FuzzyType.FUZZY_SCALAR:
-            raise CatalogError(f"{self.qualified} is not an unordered fuzzy column")
-        if self.similarity is None:
-            self.similarity = SimilarityRelation.identity(ld.name for ld in self.labels)
-        return self.similarity
 
 
 # -- conversion-row protocol ------------------------------------------------
@@ -487,13 +479,14 @@ class Catalog:
     """Registry of attribute descriptors, addressed by table and column name.
 
     Names match case-insensitively everywhere but display with the case they
-    were first registered under.
+    were first registered under.  Each descriptor is held once, in _attrs in
+    registration order, and indexed by table in _tables.  An unordered fuzzy
+    column has a similarity relation from registration on; each label joins it.
     """
 
     def __init__(self):
         self._attrs = {}
-        self._order = []
-        self._table_names = {}
+        self._tables = {}
 
     def register_attribute(
         self,
@@ -505,13 +498,14 @@ class Catalog:
     ) -> AttributeDescriptor:
         """Add a column. Unordered fuzzy columns must declare a scalar domain."""
         attr = AttributeDescriptor(table, column, ftype, domain_kind, units)
-        if attr.ftype is FuzzyType.FUZZY_SCALAR and attr.domain_kind != "scalar":
-            raise CatalogError(f"{attr.qualified}: an unordered fuzzy column needs a scalar domain")
+        if attr.ftype is FuzzyType.FUZZY_SCALAR:
+            if attr.domain_kind != "scalar":
+                raise CatalogError(f"{attr.qualified}: an unordered fuzzy column needs a scalar domain")
+            attr.similarity = SimilarityRelation.identity(())
         if attr.key in self._attrs:
             raise CatalogError(f"attribute {attr.qualified} is already registered")
         self._attrs[attr.key] = attr
-        self._order.append(attr.key)
-        self._table_names.setdefault(fold_name(table), table)
+        self._tables.setdefault(attr.key[0], (table, []))[1].append(attr)
         return attr
 
     def find(self, table: str, column: str) -> Optional[AttributeDescriptor]:
@@ -524,25 +518,26 @@ class Catalog:
         return attr
 
     def attributes(self) -> List[AttributeDescriptor]:
-        return [self._attrs[key] for key in self._order]
+        return list(self._attrs.values())
 
     def tables(self) -> List[str]:
-        return list(self._table_names.values())
+        return [name for name, _ in self._tables.values()]
 
     def has_table(self, table: str) -> bool:
-        return fold_name(table) in self._table_names
+        return fold_name(table) in self._tables
 
-    def table_name(self, table: str) -> str:
+    def _table(self, table: str) -> Tuple[str, List[AttributeDescriptor]]:
         try:
-            return self._table_names[fold_name(table)]
+            return self._tables[fold_name(table)]
         except KeyError:
             raise CatalogError(f"unknown table {table!r}") from None
 
+    def table_name(self, table: str) -> str:
+        return self._table(table)[0]
+
     def table_schema(self, table: str) -> List[AttributeDescriptor]:
-        """The table's columns in registration order."""
-        self.table_name(table)
-        wanted = fold_name(table)
-        return [a for a in self.attributes() if fold_name(a.table) == wanted]
+        """The table's columns in registration order, as a new list."""
+        return list(self._table(table)[1])
 
     def define_label(
         self,
@@ -592,16 +587,15 @@ class Catalog:
         for name, key in zip((name1, name2), keys):
             if key not in attr._by_name:
                 raise CatalogError(f"label {name!r} is not defined for {attr.qualified}")
-        rel = attr.ensure_similarity()
+        if attr.ftype is not FuzzyType.FUZZY_SCALAR:
+            raise CatalogError(f"{attr.qualified} is not an unordered fuzzy column")
+        rel = attr.similarity
         return attr, rel.index_of(name1, keys[0]), rel.index_of(name2, keys[1])
 
     def validate(self) -> List[Tuple[AttributeDescriptor, SimilarityReport]]:
-        """Run the similarity checks for every unordered column that has a relation."""
-        out = []
-        for attr in self.attributes():
-            if attr.similarity is not None:
-                out.append((attr, validate_similarity(attr.similarity)))
-        return out
+        """Run the similarity checks for every unordered column (each has a relation)."""
+        return [(attr, validate_similarity(attr.similarity))
+                for attr in self._attrs.values() if attr.similarity is not None]
 
 
 # -- persistence --------------------------------------------------------------
@@ -625,34 +619,31 @@ def atomic_write(path):
         raise
 
 
+def _write_tsv(path, header: Tuple[str, ...], rows: Iterable[list]) -> None:
+    with atomic_write(path) as f:
+        w = csv.writer(f, delimiter="\t", lineterminator="\n")
+        w.writerow(header)
+        w.writerows(rows)
+
+
 def save_catalog(catalog: Catalog, directory) -> None:
     """Write the three catalog files, creating the directory if needed."""
     os.makedirs(directory, exist_ok=True)
     attrs = catalog.attributes()
-    with atomic_write(os.path.join(directory, ATTRIBUTES_FILE)) as f:
-        w = csv.writer(f, delimiter="\t", lineterminator="\n")
-        w.writerow(_ATTRIBUTES_HEADER)
-        for a in attrs:
-            w.writerow([a.table, a.column, int(a.ftype), a.domain_kind, a.units or ""])
-    with atomic_write(os.path.join(directory, LABELS_FILE)) as f:
-        w = csv.writer(f, delimiter="\t", lineterminator="\n")
-        w.writerow(_LABELS_HEADER)
-        for a in attrs:
-            for ld in sorted(a.labels, key=lambda x: x.fuzzy_id):
-                corners = [format_number(x) for x in ld.trap.corners()] if ld.trap else [""] * 4
-                w.writerow([a.table, a.column, ld.fuzzy_id, ld.name] + corners)
-    with atomic_write(os.path.join(directory, SIMILARITY_FILE)) as f:
-        w = csv.writer(f, delimiter="\t", lineterminator="\n")
-        w.writerow(_SIMILARITY_HEADER)
-        for a in attrs:
-            if a.similarity is not None:
-                # One line per unordered pair; omitted pairs default to 0.
-                for name1, name2, s in a.similarity.pairs():
-                    w.writerow([a.table, a.column, name1, name2, format_number(s)])
+    _write_tsv(os.path.join(directory, ATTRIBUTES_FILE), _ATTRIBUTES_HEADER, (
+        [a.table, a.column, int(a.ftype), a.domain_kind, a.units or ""] for a in attrs))
+    _write_tsv(os.path.join(directory, LABELS_FILE), _LABELS_HEADER, (
+        [a.table, a.column, ld.fuzzy_id, ld.name,
+         *([format_number(x) for x in ld.trap.corners()] if ld.trap else [""] * 4)]
+        for a in attrs for ld in sorted(a.labels, key=lambda x: x.fuzzy_id)))
+    # One line per unordered pair; omitted pairs default to 0.
+    _write_tsv(os.path.join(directory, SIMILARITY_FILE), _SIMILARITY_HEADER, (
+        [a.table, a.column, name1, name2, format_number(s)]
+        for a in attrs if a.similarity is not None for name1, name2, s in a.similarity.pairs()))
 
 
-def _read_tsv(path, header: Tuple[str, ...], required: bool):
-    """Yield (line_number, row) pairs, checking the header marker first."""
+def _read_tsv(path, header: Tuple[str, ...], take: Callable[..., None], required: bool) -> None:
+    """Call take(*fields) on each row after the header marker; its errors are given path:line."""
     if not os.path.exists(path):
         if required:
             raise CatalogError(f"missing catalog file {path}")
@@ -668,78 +659,53 @@ def _read_tsv(path, header: Tuple[str, ...], required: bool):
     if not rows or tuple(rows[0][1]) != header:
         raise CatalogError(f"{path}: expected header {list(header)}")
     for lineno, row in rows[1:]:
-        if len(row) > len(header):
-            raise CatalogError(f"{path}:{lineno}: too many fields")
-        row = row + [""] * (len(header) - len(row))
-        yield lineno, row
+        try:
+            if len(row) > len(header):
+                raise CatalogError("too many fields")
+            take(*row, *[""] * (len(header) - len(row)))
+        except FuzzyDbError as exc:
+            raise CatalogError(f"{path}:{lineno}: {exc}") from None
 
 
-def _parse_float(text: str, where: str) -> float:
+def _parse(convert: Callable[[str], object], text: str, fault: str):
+    """convert(text), or a CatalogError "<fault>, got <text>" when it is not that kind of number."""
     try:
-        return float(text)
+        return convert(text)
     except ValueError:
-        raise CatalogError(f"{where}: expected a number, got {text!r}") from None
+        raise CatalogError(f"{fault}, got {text!r}") from None
 
 
 def load_catalog(directory) -> Catalog:
-    """Rebuild a catalog from a directory written by save_catalog."""
+    """Rebuild a catalog from a directory written by save_catalog.
+
+    Each file is read in one loop, and a row's error names path:line.
+    """
     catalog = Catalog()
-    path = os.path.join(directory, ATTRIBUTES_FILE)
-    for lineno, row in _read_tsv(path, _ATTRIBUTES_HEADER, required=True):
-        where = f"{path}:{lineno}"
-        table, column, ftype_text, domain_kind, units = row
-        try:
-            ftype = int(ftype_text)
-        except ValueError:
-            raise CatalogError(f"{where}: fuzzy type must be an integer, got {ftype_text!r}") from None
-        try:
-            catalog.register_attribute(table, column, ftype, domain_kind, units or None)
-        except CatalogError as exc:
-            raise CatalogError(f"{where}: {exc}") from None
 
-    path = os.path.join(directory, LABELS_FILE)
-    for lineno, row in _read_tsv(path, _LABELS_HEADER, required=False):
-        where = f"{path}:{lineno}"
-        table, column, id_text, name = row[:4]
-        corner_text = row[4:]
-        try:
-            fuzzy_id = int(id_text)
-        except ValueError:
-            raise CatalogError(f"{where}: label id must be an integer, got {id_text!r}") from None
-        if all(t == "" for t in corner_text):
-            corners = None
-        elif all(t != "" for t in corner_text):
-            corners = [_parse_float(t, where) for t in corner_text]
-        else:
-            raise CatalogError(f"{where}: give all four corners or none")
-        try:
-            catalog.define_label(table, column, name, corners, fuzzy_id)
-        except FuzzyDbError as exc:
-            raise CatalogError(f"{where}: {exc}") from None
+    def attribute(table, column, ftype_text, domain_kind, units):
+        ftype = _parse(int, ftype_text, "fuzzy type must be an integer")
+        catalog.register_attribute(table, column, ftype, domain_kind, units or None)
 
-    path = os.path.join(directory, SIMILARITY_FILE)
+    def label(table, column, id_text, name, *corner_text):
+        fuzzy_id = _parse(int, id_text, "label id must be an integer")
+        given = [t for t in corner_text if t != ""]
+        if 0 < len(given) < len(corner_text):
+            raise CatalogError("give all four corners or none")
+        corners = [_parse(float, t, "expected a number") for t in given] or None
+        catalog.define_label(table, column, name, corners, fuzzy_id)
+
     seen = {}
-    for lineno, row in _read_tsv(path, _SIMILARITY_HEADER, required=False):
-        where = f"{path}:{lineno}"
-        table, column, name1, name2, degree_text = row
-        degree = _parse_float(degree_text, where)
-        try:
-            attr, i, j = catalog._similarity_pair(table, column, name1, name2)
-        except FuzzyDbError as exc:
-            raise CatalogError(f"{where}: {exc}") from None
+
+    def pair(table, column, name1, name2, degree_text):
+        degree = _parse(float, degree_text, "expected a number")
+        attr, i, j = catalog._similarity_pair(table, column, name1, name2)
         pair_key = (id(attr), frozenset((i, j)))  # descriptors are unhashable and outlive the load
         if pair_key in seen and seen[pair_key] != degree:
-            raise CatalogError(
-                f"{where}: pair ({name1}, {name2}) already set to {seen[pair_key]}"
-            )
+            raise CatalogError(f"pair ({name1}, {name2}) already set to {seen[pair_key]}")
         seen[pair_key] = degree
-        try:
-            attr.similarity.set_at(i, j, degree)
-        except FuzzyDbError as exc:
-            raise CatalogError(f"{where}: {exc}") from None
+        attr.similarity.set_at(i, j, degree)
 
-    # Scalar columns with labels but no recorded pairs still get a relation.
-    for attr in catalog.attributes():
-        if attr.ftype is FuzzyType.FUZZY_SCALAR and attr.labels and attr.similarity is None:
-            attr.ensure_similarity()
+    _read_tsv(os.path.join(directory, ATTRIBUTES_FILE), _ATTRIBUTES_HEADER, attribute, required=True)
+    _read_tsv(os.path.join(directory, LABELS_FILE), _LABELS_HEADER, label, required=False)
+    _read_tsv(os.path.join(directory, SIMILARITY_FILE), _SIMILARITY_HEADER, pair, required=False)
     return catalog

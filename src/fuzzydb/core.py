@@ -348,7 +348,7 @@ class SimilarityRelation:
 
     Element names match case-insensitively.  The raw constructor stores the
     matrix as given (so a relation read from a file can be validated); use
-    identity() plus set_degree() to build a well-formed relation.
+    identity() or add() plus set_degree() to build a well-formed relation.
     """
 
     domain: Tuple[str, ...]
@@ -373,6 +373,17 @@ class SimilarityRelation:
         names = tuple(domain)
         n = len(names)
         return cls(names, [[1.0 if i == j else 0.0 for j in range(n)] for i in range(n)])
+
+    def add(self, name: str) -> None:
+        """Append an element similar only to itself, in place: O(n) for n elements."""
+        key = fold_name(name)
+        if key in self._index:
+            raise SimilarityError("similarity domain contains duplicate element names")
+        for row in self.matrix:
+            row.append(0.0)
+        self._index[key] = len(self.matrix)
+        self.matrix.append([0.0] * len(self.domain) + [1.0])
+        self.domain += (name,)
 
     def index_of(self, name: str, key: Optional[str] = None) -> int:
         """Position of name in the domain; key, when the caller has it, is fold_name(name)."""

@@ -12,7 +12,8 @@ run_query keeps the rows of every table file it read under the current
 catalog and data dir (they die with that catalog): a reread serves each
 unchanged one-line record by looking its line up, before the CSV reader, and
 decodes only the records that changed.  A field longer than
-csv.field_size_limit() is a DataFileError naming path:line.
+csv.field_size_limit() is a DataFileError naming path:line, and save_table
+refuses to write one.
 
 save_table is the mirror of load_table: one encoder per column writes each
 distinct value object once, straight to the cell text the column's decoder
@@ -225,8 +226,9 @@ def load_table(
     """Read a table's CSV file, checking it against the catalog schema.
 
     The file must name exactly the registered columns (any order, any case);
-    cells come back in schema order.  Errors point at file, row, and column.
-    The file is UTF-8 and may start with a byte order mark.
+    cells come back in schema order.  Errors name path:line, the line the
+    record starts on (as save_table names it), and the column.  The file is
+    UTF-8 and may start with a byte order mark.
 
     With reuse, only records whose text reuse does not hold are decoded, and
     reuse then holds this file's rows (shared, so not to be changed), or
@@ -258,16 +260,19 @@ def load_table(
 
     reader = csv.reader(feed())
     rows = []
-    read = 0  # rows the reader read; each other row is one line that reader.line_num misses
+    # Lines that start no row (the header's, blank ones, a record's further
+    # lines): the record of row n starts on line n + other + 1, hits move nothing.
+    other = 0
 
-    def at() -> str:  # path:line of the last line read, by the reader or by lookup
-        return f"{path}:{reader.line_num + len(rows) - read}"
+    def at() -> str:  # path:line on which the record being read starts
+        return f"{path}:{len(rows) + other + 1}"
 
     with f:
         try:
             header = next(reader, None)
             if header is None:
                 raise DataFileError(f"{path}: empty table file")
+            other = reader.line_num
             taken.clear()
             folded = [fold_name(name.strip()) for name in header]
             if sorted(folded) != sorted(by_name):
@@ -291,10 +296,10 @@ def load_table(
                     pushed.append(line)
                     raw = next(reader)
                     if not raw:
+                        other += 1
                         continue
                     if taken:  # a multi-line record is known by all its lines
                         line += "".join(taken)
-                        taken.clear()
                         cells = known.get(line)
                     if cells is None:
                         if len(raw) != len(header):
@@ -314,7 +319,8 @@ def load_table(
                                 if not isinstance(value, FuzzyValue) or value.kind in _SHARED_KINDS:
                                     seen[text] = value
                             cells.append(value)
-                    read += 1
+                    other += len(taken)
+                    taken.clear()
                 if records is not None:
                     records[line] = cells
                 rows.append(cells)
@@ -338,33 +344,43 @@ def _line_of(rows, r: int) -> int:
     return r + 2 + sum(t.count("\n") + t.count("\r") - t.count("\r\n") for t in texts)
 
 
+def _encoded(encode: Callable[[object], str], cells: Iterable) -> List[str]:
+    """encode's text for each cell; a ConversionError if one is longer than load_table reads."""
+    texts = list(map(encode, cells))
+    limit = csv.field_size_limit()
+    if texts and max(map(len, texts)) > limit:
+        raise ConversionError(f"field larger than field limit ({limit})")
+    return texts
+
+
 def save_table(table: Table, path) -> None:
     """Write a table back to CSV in schema order, replacing the file only once it is complete.
 
     Each column is encoded on its own, once per distinct value object, and
     every cell is encoded before <path>.tmp is opened: a cell that load_table
-    would reject or read differently raises a ConversionError naming
-    path:line (the line its row starts on) and the column, and leaves the
-    old file as it was.
+    would reject or read differently, a text longer than
+    csv.field_size_limit() included, raises a ConversionError for the first
+    such cell in row order, then column order, naming path:line (the line its
+    row starts on) and the column, and leaves the old file as it was.
     """
     schema = table.schema
     for r, row in enumerate(table.rows):
         if len(row) != len(schema):
             raise ConversionError(
                 f"{path}:{_line_of(table.rows, r)}: expected {len(schema)} cells, found {len(row)}")
-    columns = []
-    for attr, column in zip(schema, zip(*table.rows)):
-        encode = _cell_encoder(attr)
-        try:
-            columns.append(_per_distinct(functools.partial(map, encode), column))
-        except FuzzyDbError:
-            for r, cell in enumerate(column):  # the first row at fault
+    encoders = [_cell_encoder(attr) for attr in schema]
+    try:
+        columns = [_per_distinct(functools.partial(_encoded, encode), column)
+                   for encode, column in zip(encoders, zip(*table.rows))]
+    except FuzzyDbError:
+        for r, row in enumerate(table.rows):  # the first cell at fault
+            for attr, encode, cell in zip(schema, encoders, row):
                 try:
-                    encode(cell)
+                    _encoded(encode, (cell,))
                 except FuzzyDbError as exc:
                     raise ConversionError(
                         f"{path}:{_line_of(table.rows, r)}: column {attr.column}: {exc}") from None
-            raise
+        raise
     with atomic_write(path) as f:
         writer = csv.writer(f, lineterminator="\n")
         writer.writerow([attr.column for attr in schema])

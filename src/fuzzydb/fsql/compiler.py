@@ -83,7 +83,12 @@ class CompiledPlan:
     outputs: Tuple[OutputColumn, ...]
     conditions: Tuple[CompiledCondition, ...]
     tree: Optional[FilterNode]
-    text: str
+    query: Query
+
+    @property
+    def text(self) -> str:
+        """The query as FSQL text, rendered when asked for (explain reads it)."""
+        return render_query(self.query)
 
     def headers(self) -> List[str]:
         return [out.header for out in self.outputs]
@@ -139,7 +144,7 @@ class _Compiler:
             outputs=tuple(outputs),
             conditions=tuple(self.conditions),
             tree=tree,
-            text=render_query(query),
+            query=query,
         )
 
     def _resolve_column(self, ref: ColumnRef) -> AttributeDescriptor:

@@ -17,10 +17,14 @@ from fuzzydb import (
     FuzzyType,
     FuzzyValue,
     LabelDefinition,
+    SimilarityError,
+    Table,
     Trapezoid,
     decode_row,
     encode_value,
+    feq,
     load_catalog,
+    run_query,
     save_catalog,
 )
 
@@ -61,6 +65,13 @@ class TestRegistry:
         assert small_catalog.tables() == ["lots", "notes"]
         with pytest.raises(CatalogError):
             small_catalog.table_schema("nowhere")
+
+    def test_schema_is_a_copy(self, small_catalog):
+        small_catalog.table_schema("lots").clear()
+        small_catalog.table_schema("notes").append(small_catalog.get("lots", "code"))
+        assert [a.column for a in small_catalog.table_schema("LOTS")] == ["code", "width", "finish"]
+        assert [a.column for a in small_catalog.table_schema("notes")] == ["id", "text"]
+        assert len(small_catalog.attributes()) == 5
 
 
 class TestLabels:
@@ -130,6 +141,28 @@ class TestSimilarityUpkeep:
         assert rel.get("rough", "matte") == 0.0
         small_catalog.set_similarity("lots", "finish", "rough", "matte", 0.5)
         assert rel.get("matte", "rough") == 0.5
+
+    def test_api_built_scalar_column_answers_feq_before_any_save(self, tmp_path):
+        cat = Catalog()
+        cat.register_attribute("t", "tone", 3, "scalar")
+        cat.define_label("t", "tone", "a")
+        cat.define_label("t", "tone", "b")
+        cells = [[FuzzyValue.label("a")], [FuzzyValue.label("B")], [FuzzyValue.simple(0.4, "a")]]
+        statement = "SELECT tone, CDEG(tone) FROM t WHERE tone FEQ $a THOLD 0"
+        built = run_query(statement, cat, tables={"t": Table("t", cat.table_schema("t"), cells)})
+        assert [row[1] for row in built.rows] == [1.0, 0.0, 0.4]
+        assert Catalog().register_attribute("t", "hue", 3, "scalar").similarity.domain == ()
+        save_catalog(cat, tmp_path)
+        loaded = load_catalog(tmp_path)
+        again = run_query(statement, loaded, tables={"t": Table("t", loaded.table_schema("t"), cells)})
+        assert again.rows == built.rows
+
+    def test_directly_built_descriptor_has_no_relation(self):
+        attr = AttributeDescriptor("t", "tone", 3, "scalar")
+        attr.attach_label(LabelDefinition(1, "a"))
+        assert attr.similarity is None
+        with pytest.raises(SimilarityError, match="attribute t.tone has no similarity relation"):
+            feq(FuzzyValue.label("a"), FuzzyValue.label("a"), attr)
 
     def test_set_similarity_needs_known_labels(self, small_catalog):
         with pytest.raises(CatalogError):
@@ -389,6 +422,39 @@ class TestPersistence:
             load_catalog(case_copy)
         assert "labels.tsv:45: " in str(err.value)
         assert fragment in str(err.value)
+
+    @pytest.mark.parametrize(
+        "name,line,message",
+        [
+            ("attributes.tsv", "lots\tdepth\tx\tnumeric\t", "fuzzy type must be an integer, got 'x'"),
+            ("attributes.tsv", "lots\tcode\t1\tnumeric\t", "attribute lots.code is already registered"),
+            ("labels.tsv", "lots\twidth\tx\thuge\t1\t2\t3\t4", "label id must be an integer, got 'x'"),
+            ("labels.tsv", "lots\twidth\t9\thuge\t1\t2\tabc\t4", "expected a number, got 'abc'"),
+            ("labels.tsv", "lots\twidth\t9\thuge\t0\t1\t\t3", "give all four corners or none"),
+            ("labels.tsv", "lots\tfinish\t9\tmatte\t\t\t\t",
+             "label 'matte' is already defined for lots.finish"),
+            ("similarity.tsv", "lots\tfinish\tgloss\tsatin\t0.9", "pair (gloss, satin) already set to 0.7"),
+            ("similarity.tsv", "lots\tfinish\tmatte\tgloss\tnan",
+             "similarity degree must be in [0, 1], got nan"),
+            ("similarity.tsv", "lots\tfinish\tmatte\tgloss\tx", "expected a number, got 'x'"),
+            ("similarity.tsv", "lots\tfinish\tmatte\tmatte\t0.5",
+             "s(matte, matte) is pinned at 1 and cannot be 0.5"),
+            ("similarity.tsv", "lots\tfinish\tmatte\trough\t0.5",
+             "label 'rough' is not defined for lots.finish"),
+            ("similarity.tsv", "lots\twidth\tnarrow\twide\t0.5", "lots.width is not an unordered fuzzy column"),
+            ("similarity.tsv", "lots\tfinish\tmatte\tgloss\t0.5\textra", "too many fields"),
+        ],
+    )
+    def test_load_errors_name_path_line_and_cause(self, small_catalog, tmp_path, name, line, message):
+        # the small catalog saves 5 attributes, 5 labels and 2 pairs; the appended line comes next
+        save_catalog(small_catalog, tmp_path)
+        path = tmp_path / name
+        with open(path, "a", encoding="utf-8") as f:
+            f.write(line + "\n")
+        lineno = len(path.read_text(encoding="utf-8").splitlines())
+        with pytest.raises(CatalogError) as err:
+            load_catalog(tmp_path)
+        assert str(err.value) == f"{path}:{lineno}: {message}"
 
     def test_byte_order_mark_and_bad_bytes(self, small_catalog, tmp_path):
         save_catalog(small_catalog, tmp_path)

@@ -367,6 +367,21 @@ class TestSimilarityRelation:
         with pytest.raises(SimilarityError):
             SimilarityRelation.identity(["a", "A"])
 
+    def test_add_grows_the_relation_in_place(self):
+        rel = SimilarityRelation.identity([])
+        for name in ("a", "b", "c"):
+            rel.add(name)
+        rel.set_degree("a", "b", 0.4)
+        rel.add("d")
+        assert rel.domain == ("a", "b", "c", "d")
+        assert rel.matrix == SimilarityRelation(rel.domain, [
+            [1.0, 0.4, 0.0, 0.0], [0.4, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0],
+        ]).matrix
+        assert rel.index_of("D") == 3
+        with pytest.raises(SimilarityError, match="duplicate element names"):
+            rel.add("B")
+        assert rel.domain == ("a", "b", "c", "d") and len(rel.matrix) == 4
+
     @given(st.integers(0, 2), st.integers(0, 2), st.floats(0, 1))
     def test_stays_symmetric(self, i, j, s):
         rel = SimilarityRelation.identity(["x", "y", "z"])

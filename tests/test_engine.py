@@ -713,6 +713,40 @@ class TestSaveTable:
         with pytest.raises(DataFileError, match=f"^{re.escape(str(path))}:4: column pelo: "):
             load_table(path, "personas", case_catalog)
 
+    def test_load_and_save_name_the_first_line_of_a_multi_line_record(self, tmp_path, case_catalog):
+        path = tmp_path / "q.csv"
+        path.write_text('nombre,edad,pelo\n"Ana\nMaria",bad,0\n', encoding="utf-8")
+        with pytest.raises(DataFileError, match=f"^{re.escape(str(path))}:2: column edad: "):
+            load_table(path, "personas", case_catalog)
+        table = Table("personas", case_catalog.table_schema("personas"),
+                      [["Ana\nMaria", "bad", FuzzyValue.unknown()]])
+        with pytest.raises(ConversionError, match=f"^{re.escape(str(tmp_path / 'q2.csv'))}:2: column edad: "):
+            save_table(table, tmp_path / "q2.csv")
+
+    def test_fault_is_named_in_row_order_then_column_order(self, tmp_path, case_tables):
+        table = case_tables["personas"]
+        table.rows[1][1] = "bad"  # line 3, the second column
+        table.rows[5][0] = " padded"  # line 7, the first column
+        with pytest.raises(ConversionError) as err:
+            save_table(table, tmp_path / "personas.csv")
+        assert str(err.value) == (f"{tmp_path / 'personas.csv'}:3: column edad: "
+                                  "personas.edad holds fuzzy values, got 'bad'")
+
+    def test_text_too_long_for_the_reader_is_refused(self, tmp_path, case_catalog, case_tables):
+        limit = csv.field_size_limit()
+        table = case_tables["personas"]
+        path = tmp_path / "personas.csv"
+        table.rows[0][0] = "x" * limit  # the longest field load_table reads
+        save_table(table, path)
+        assert load_table(path, "personas", case_catalog).rows[0][0] == "x" * limit
+        before = path.read_bytes()
+        table.rows[2][0] = "x" * (limit + 1)
+        with pytest.raises(ConversionError) as err:
+            save_table(table, path)
+        assert str(err.value) == f"{path}:4: column nombre: field larger than field limit ({limit})"
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["personas.csv"]
+
     def test_line_breaks_of_every_kind_count(self, tmp_path, case_catalog):
         schema = case_catalog.table_schema("personas")
         null = FuzzyValue.null()
@@ -1408,6 +1442,19 @@ class TestReloadReuse:
             load_table(tmp_path / "personas.csv", "personas", case_catalog)
         assert str(warm.value) == str(cold.value)
         assert str(warm.value).startswith(f"{tmp_path / 'personas.csv'}:8: {message}")
+
+    def test_warm_and_cold_errors_name_the_first_line_of_the_record(self, tmp_path, case_catalog):
+        # the header, P0, a blank line, a two-line record and P1 come before the bad record
+        lines = _person_lines(2)
+        lines[1:1] = ["\n", '"Ana\nMaria",0,0\n']
+        self.write(tmp_path, lines)
+        self.query(tmp_path, case_catalog)
+        lines.append('"Luis\nPaz",3;bad;;;,0\n')
+        self.write(tmp_path, lines)
+        for read in (self.query, self.cold):
+            with pytest.raises(DataFileError, match=f"^{re.escape(str(tmp_path / 'personas.csv'))}:7: "
+                                                    "column edad: "):
+                read(tmp_path, case_catalog)
 
     @staticmethod
     def decoded(directory, table, catalog):
