@@ -643,21 +643,30 @@ def save_catalog(catalog: Catalog, directory) -> None:
 
 
 def _read_tsv(path, header: Tuple[str, ...], take: Callable[..., None], required: bool) -> None:
-    """Call take(*fields) on each row after the header marker; its errors are given path:line."""
+    """Call take(*fields) on each row after the header marker; its errors are given path:line.
+
+    The line is the one the row starts on, also for a row whose quoted field
+    spans lines.  Blank rows are skipped; the header marker is the first row
+    that is not blank, and its error names that row's line (1 in an empty file).
+    """
     if not os.path.exists(path):
         if required:
             raise CatalogError(f"missing catalog file {path}")
         return
     with open(path, encoding="utf-8-sig", newline="") as f:
         reader = csv.reader(f, delimiter="\t")
+        rows, end = [], 0  # end: the line on which the last record read ends
         try:
-            rows = [(reader.line_num, row) for row in reader if any(row)]
+            for row in reader:
+                if any(row):
+                    rows.append((end + 1, row))
+                end = reader.line_num
         except UnicodeDecodeError:
             raise CatalogError(f"{path}:{undecodable_line(path)}: not valid UTF-8") from None
         except csv.Error as exc:  # a field longer than csv.field_size_limit(), say
-            raise CatalogError(f"{path}:{reader.line_num}: {exc}") from None
+            raise CatalogError(f"{path}:{end + 1}: {exc}") from None
     if not rows or tuple(rows[0][1]) != header:
-        raise CatalogError(f"{path}: expected header {list(header)}")
+        raise CatalogError(f"{path}:{rows[0][0] if rows else 1}: expected header {list(header)}")
     for lineno, row in rows[1:]:
         try:
             if len(row) > len(header):

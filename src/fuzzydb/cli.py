@@ -147,6 +147,12 @@ def _catalog_summary(catalog: Catalog) -> str:
     return "\n".join(lines)
 
 
+def _print_result(result, fmt: str, locale: str) -> None:
+    text = format_result(result, fmt, locale)
+    if text:  # jsonl with no rows is no line at all; a blank line is not JSON
+        print(text)
+
+
 def cmd_query(args) -> int:
     sql = args.sql if args.sql is not None else sys.stdin.read()
     catalog = load_catalog(_catalog_dir(args))
@@ -157,7 +163,7 @@ def cmd_query(args) -> int:
         print(plan.explain())
         return 0
     result = run_query(sql, catalog, data_dir=_data_dir(args), default_threshold=args.thold)
-    print(format_result(result, fmt, locale))
+    _print_result(result, fmt, locale)
     if args.stats:
         s = result.stats
         print(
@@ -221,7 +227,7 @@ def cmd_repl(args) -> int:
             continue
         try:
             result = run_query(line, catalog, data_dir=data_dir, default_threshold=threshold)
-            print(format_result(result, fmt, locale))
+            _print_result(result, fmt, locale)
         except FuzzyDbError as exc:
             sys.stderr.write(f"error: {exc}\n")
 

@@ -19,11 +19,11 @@ save_table is the mirror of load_table: one encoder per column writes each
 distinct value object once, straight to the cell text the column's decoder
 reads, and refuses any value the decoder would reject or read differently.
 
-format_result renders a result the same way, a column at a time: each
-distinct cell object of a column becomes text once, through one table of
-text functions by value kind (_KIND_TEXT, which render_value uses too), and
-the lines are joined from the column texts, byte for byte as rendering row by
-row would write them.  _per_distinct is the one "once per distinct cell
+A Result holds its columns as execute builds them, and format_result
+renders them a column at a time: each distinct cell object of a column
+becomes text once, through one table of text functions by value kind
+(_KIND_TEXT, which render_value uses too), and the lines are joined from the
+column texts, byte for byte as rendering row by row would write them.  _per_distinct is the one "once per distinct cell
 object" rule, of the writer and the renderer.  execute holds no degree
 arithmetic: each condition is one call of core.feq_column over its column.
 execute, save_table and format_result check a plain cell that is not text
@@ -271,13 +271,13 @@ def load_table(
         try:
             header = next(reader, None)
             if header is None:
-                raise DataFileError(f"{path}: empty table file")
+                raise DataFileError(f"{path}:1: empty table file")
             other = reader.line_num
             taken.clear()
             folded = [fold_name(name.strip()) for name in header]
             if sorted(folded) != sorted(by_name):
                 raise DataFileError(
-                    f"{path}: header {header!r} does not match the registered columns "
+                    f"{path}:1: header {header!r} does not match the registered columns "
                     f"{[a.column for a in schema]!r}"
                 )
             positions = {name: i for i, name in enumerate(folded)}
@@ -406,10 +406,17 @@ class ExecutionStats:
 
 @dataclass
 class Result:
+    """columns[j] holds the cells under headers[j], all of one length.  They may be shared (with
+    no WHERE, two CDEG(x) columns are one list), so they are not to be changed."""
+
     headers: List[str]
-    rows: List[List[object]]
+    columns: List[list]
     stats: ExecutionStats
     plan: Optional[CompiledPlan] = None
+
+    @property
+    def rows(self) -> List[list]:  # built from the columns on each read
+        return list(map(list, zip(*self.columns)))
 
 
 def _passes(node, degrees: List[List[float]]) -> List[bool]:
@@ -426,7 +433,8 @@ def execute(plan: CompiledPlan, table: Table) -> Result:
 
     Execution goes a column at a time: each condition's degrees are one
     core.feq_column over its column, feq's bit for bit.  The filter tree
-    combines those degree lists; every kept row carries every condition's
+    combines those degree lists, and the result holds the output columns as
+    built, with no row lists; every kept row carries every condition's
     degree, even when another branch already decided it.  Row order is kept.
 
     A row whose width is not the schema's raises save_table's "expected N
@@ -462,13 +470,12 @@ def execute(plan: CompiledPlan, table: Table) -> Result:
             lists = [degrees[i] if keep is None else list(compress(degrees[i], keep))
                      for i in col.indexes]
             columns.append(lists[0] if len(lists) == 1 else list(map(min, *lists)))
-    out_rows = list(map(list, zip(*columns)))
     stats = ExecutionStats(
         execute_seconds=time.perf_counter() - start,
         rows_in=len(rows),
-        rows_out=len(out_rows),
+        rows_out=len(kept),
     )
-    return Result(plan.headers(), out_rows, stats, plan)
+    return Result(plan.headers(), columns, stats, plan)
 
 
 # run_query's data_dir reads: one RecordCache per table, by canonical name, all
@@ -626,10 +633,10 @@ def _json_cell(text: Callable[[object], str]) -> Callable[[object], str]:
 
 
 def _table(result: Result, text: Callable[[object], str]) -> str:
-    rows = result.rows
-    width = len(str(len(rows)))
+    n = len(result.columns[0]) if result.columns else 0
+    width = len(str(n))
     head = ["#".ljust(width)]
-    body = [map(str.ljust, map(str, range(1, len(rows) + 1)), repeat(width))]
+    body = [map(str.ljust, map(str, range(1, n + 1)), repeat(width))]
 
     def padded(cells) -> Iterable[str]:
         # the texts of one column's distinct cells, padded with its header (head's last) to one width
@@ -638,32 +645,30 @@ def _table(result: Result, text: Callable[[object], str]) -> str:
         head[-1] = head[-1].ljust(width)
         return map(str.ljust, texts, repeat(width))
 
-    for header, column in zip(result.headers, zip(*rows) if rows else [()] * len(result.headers)):
+    for header, column in zip(result.headers, result.columns):
         head.append(header.upper())
         body.append(_per_distinct(padded, column))
-    n = len(rows)
     return "\n".join(["  ".join(head).rstrip(), *map(str.rstrip, map("  ".join, zip(*body))),
                       f"({n} row)" if n == 1 else f"({n} rows)"])
 
 
 def _csv(result: Result, text: Callable[[object], str]) -> str:
-    columns = [_per_distinct(functools.partial(map, text), column) for column in zip(*result.rows)]
+    columns = [_per_distinct(functools.partial(map, text), column) for column in result.columns]
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(result.headers)
-    writer.writerows(zip(*columns) if columns else [()] * len(result.rows))
+    writer.writerows(zip(*columns))
     return out.getvalue().rstrip("\n")
 
 
 def _jsonl(result: Result, text: Callable[[object], str]) -> str:
     columns = {}  # '"key": ' -> the column's cell texts; a key taken twice keeps its first place, its last column
     seen = {}  # the n-th repeat of a header (n >= 2) is keyed <header>#n
-    for header, column in zip(result.headers, zip(*result.rows)):
+    for header, column in zip(result.headers, result.columns):
         seen[header] = n = seen.get(header, 0) + 1
         key = _json(header if n == 1 else f"{header}#{n}") + ": "
         columns[key] = _per_distinct(lambda cells: map(key.__add__, map(text, cells)), column)
-    lines = zip(*columns.values()) if columns else [()] * len(result.rows)
-    return "\n".join(["{" + ", ".join(line) + "}" for line in lines])
+    return "\n".join(["{" + ", ".join(line) + "}" for line in zip(*columns.values())])
 
 
 # Each format's renderer, called with the function that writes one cell.
@@ -673,12 +678,12 @@ _FORMATS = {"table": _table, "csv": _csv, "jsonl": _jsonl}
 def format_result(result: Result, fmt: str = "table", locale: str = "dot") -> str:
     """Render a result as an aligned table, CSV text, or JSON lines.
 
-    Each column is rendered on its own, once per distinct cell object, and
-    the lines are joined from the column texts; the text is the one that
-    rendering the rows one by one, cell by cell, gives.  A cell that cannot
-    be rendered (a plain cell that is not text or a finite number) raises
-    the error of the first such cell in row order.  The time taken is set as
-    result.stats.render_seconds.
+    Each of result.columns is rendered on its own, once per distinct cell
+    object, and the lines are joined from the column texts; the text is the
+    one that rendering the rows one by one, cell by cell, gives.  A cell that
+    cannot be rendered (a plain cell that is not text or a finite number)
+    raises the error of the first such cell in row order, then column order.
+    The time taken is set as result.stats.render_seconds.
     """
     start = time.perf_counter()
     render = _FORMATS.get(fmt)
@@ -695,7 +700,7 @@ def format_result(result: Result, fmt: str = "table", locale: str = "dot") -> st
     try:
         out = render(result, text)
     except FuzzyDbError:
-        for row in result.rows:  # raise what the first cell at fault raises
+        for row in zip(*result.columns):  # raise what the first cell at fault raises
             list(map(text, row))
         raise
     result.stats.render_seconds = time.perf_counter() - start

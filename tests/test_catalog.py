@@ -456,6 +456,34 @@ class TestPersistence:
             load_catalog(tmp_path)
         assert str(err.value) == f"{path}:{lineno}: {message}"
 
+    def test_multi_line_row_is_named_by_its_first_line(self, tmp_path):
+        cat = Catalog()
+        cat.register_attribute("t", "tone", 3, "scalar")
+        save_catalog(cat, tmp_path)
+        path = tmp_path / "labels.tsv"
+        with open(path, "a", encoding="utf-8") as f:
+            f.write('t\ttone\t1\t"a\nb"\t\t\t\t\n')
+        with pytest.raises(CatalogError) as err:
+            load_catalog(tmp_path)
+        assert str(err.value) == f"{path}:2: label name must be an identifier, got 'a\\nb'"
+
+    @pytest.mark.parametrize("name", ["attributes.tsv", "labels.tsv", "similarity.tsv"])
+    @pytest.mark.parametrize("text, line", [
+        ("", 1),
+        ("\n\t\n", 1),
+        ("tbl\tcol\n", 1),
+        ("\n\t\t\n\ntbl\tcol\n", 4),
+    ], ids=["empty", "blank", "wrong", "wrong_after_blank_lines"])
+    def test_header_error_names_the_line_of_the_first_row(self, small_catalog, tmp_path, name,
+                                                          text, line):
+        save_catalog(small_catalog, tmp_path)
+        path = tmp_path / name
+        header = path.read_text(encoding="utf-8").splitlines()[0].split("\t")
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(CatalogError) as err:
+            load_catalog(tmp_path)
+        assert str(err.value) == f"{path}:{line}: expected header {header}"
+
     def test_byte_order_mark_and_bad_bytes(self, small_catalog, tmp_path):
         save_catalog(small_catalog, tmp_path)
         path = tmp_path / "attributes.tsv"

@@ -1,11 +1,16 @@
 """Command-line behaviour: exit codes, output routing, catalog editing."""
 
+import contextlib
 import io
 import pathlib
 import re
+import shutil
+import tempfile
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from fuzzydb import case_study_dir
 from fuzzydb.cli import main
 
 FLAGSHIP = (
@@ -23,14 +28,15 @@ class TestGoldenOutputs:
     tests/golden/<query>.fsql holds a statement and <query>.<format>.<locale>.txt
     what `fuzzydb query --format <format> --locale <locale>` printed for it
     before results were rendered a column at a time.  jsonl has no locale, so
-    its one file serves both.
+    its one file serves both.  no_rows keeps no row, so its jsonl file is
+    empty: no line is printed, as a blank one is not JSON.
     """
 
     FILES = sorted(GOLDEN.glob("*.txt"))
 
     def test_every_query_has_every_format(self):
         assert [p.name for p in self.FILES] == [
-            f"{query}.{form}.txt" for query in ("either_tone", "flagship")
+            f"{query}.{form}.txt" for query in ("either_tone", "flagship", "no_rows")
             for form in ("csv.comma", "csv.dot", "jsonl.dot", "table.comma", "table.dot")]
 
     @pytest.mark.parametrize("path", FILES, ids=lambda p: p.name)
@@ -215,6 +221,60 @@ class TestBadInput:
         assert "Traceback" not in err
 
 
+CASE_FILES = ["attributes.tsv", "labels.tsv", "similarity.tsv",
+              "cartulina.csv", "personas.csv", "pilas.csv", "rollos.csv"]
+JUNK = ["\t", ",", ";", '"', "\n", "\r", "x", "9", "nan", "1e999", "\0", "é"]
+# One edit of a text: junk inserted, 1-20 characters cut, or a line written twice.
+MUTATIONS = st.one_of(
+    st.tuples(st.just("insert"), st.integers(0, 10**4), st.sampled_from(JUNK)),
+    st.tuples(st.just("cut"), st.integers(0, 10**4), st.integers(1, 20)),
+    st.tuples(st.just("duplicate"), st.integers(0, 10**4), st.none()),
+)
+POSITION = re.compile(r"\.(csv|tsv):\d+: | at \d+:\d+")
+
+
+def mutate(text, kind, at, arg):
+    if kind == "insert":
+        at %= len(text) + 1
+        return text[:at] + arg + text[at:]
+    if kind == "cut":
+        at %= len(text)
+        return text[:at] + text[at + arg:]
+    lines = text.splitlines(keepends=True)
+    at %= len(lines)
+    return "".join(lines[:at + 1] + lines[at:])
+
+
+class TestBoundaryFuzz:
+    """One edit of a case-study file or of the golden statement ends in an answer or a positioned error."""
+
+    @settings(max_examples=150, derandomize=True, database=None, deadline=None)
+    @given(target=st.sampled_from([*CASE_FILES, "flagship.fsql"]), mutation=MUTATIONS)
+    @example(target="attributes.tsv", mutation=("cut", 0, 5))
+    @example(target="cartulina.csv", mutation=("cut", 0, 5))
+    def test_every_failure_is_positioned(self, target, mutation):
+        sql = (GOLDEN / "flagship.fsql").read_text(encoding="utf-8")
+        with tempfile.TemporaryDirectory() as tmp:
+            case = shutil.copytree(case_study_dir(), pathlib.Path(tmp) / "case")
+            if target == "flagship.fsql":
+                sql = mutate(sql, *mutation)
+            else:
+                path = case / target
+                with open(path, encoding="utf-8", newline="") as f:
+                    text = f.read()
+                with open(path, "w", encoding="utf-8", newline="") as f:
+                    f.write(mutate(text, *mutation))
+                if target.endswith(".csv"):
+                    table = target[:-len(".csv")]
+                    sql = f"SELECT {table}.% FROM {table}"
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(["query", sql, "--catalog", str(case), "--data-dir", str(case)])
+        assert code in (0, 1, 2)
+        if code:
+            assert POSITION.search(err.getvalue()), err.getvalue()
+
+
 class TestRepl:
     def run(self, monkeypatch, capsys, script, argv=()):
         monkeypatch.setattr("sys.stdin", io.StringIO(script))
@@ -235,6 +295,12 @@ class TestRepl:
         code, out, _ = self.run(monkeypatch, capsys, script)
         assert code == 0
         assert out.splitlines() == ["cod_pila", "3"]
+
+    def test_jsonl_with_no_rows_prints_no_line(self, monkeypatch, capsys):
+        script = ".format jsonl\nSELECT cod_pila FROM pilas WHERE cod_pila FEQ 999\n.exit\n"
+        code, out, _ = self.run(monkeypatch, capsys, script)
+        assert code == 0
+        assert out == ""
 
     def test_thold_switch(self, monkeypatch, capsys):
         script = (

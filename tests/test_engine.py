@@ -484,6 +484,20 @@ class TestLoadTable:
             load_table(path, "personas", case_catalog)
         assert "header" in str(err.value)
 
+    @pytest.mark.parametrize("text, message", [
+        ("", "empty table file"),
+        ("nombre,edad\nAna,3;26;;;\n",
+         "header ['nombre', 'edad'] does not match the registered columns ['nombre', 'edad', 'pelo']"),
+        ("\nnombre,edad,pelo\n",
+         "header [] does not match the registered columns ['nombre', 'edad', 'pelo']"),
+    ], ids=["empty", "wrong", "blank_first_line"])
+    def test_header_errors_name_line_one(self, tmp_path, case_catalog, text, message):
+        path = tmp_path / "personas.csv"
+        path.write_text(text)
+        with pytest.raises(DataFileError) as err:
+            load_table(path, "personas", case_catalog)
+        assert str(err.value) == f"{path}:1: {message}"
+
     def test_rejects_ragged_rows(self, tmp_path, case_catalog):
         path = tmp_path / "personas.csv"
         path.write_text("nombre,edad,pelo\nAna,3;26;;;\n")
@@ -1704,7 +1718,8 @@ class TestRendering:
             if rows:  # non-finite plain cells, which no format can write, each with its own message
                 rows[r % len(rows)][c % width] = bad
         headers = data.draw(st.lists(RESULT_HEADERS, min_size=width, max_size=width))
-        result = Result(headers, rows, ExecutionStats(rows_out=len(rows)))
+        columns = [[row[c] for row in rows] for c in range(width)]
+        result = Result(headers, columns, ExecutionStats(rows_out=len(rows)))
         fmt = data.draw(st.sampled_from(["table", "csv", "jsonl"]))
         locale = data.draw(st.sampled_from(["dot", "comma"]))
         assert self.outcome(format_result, result, fmt, locale) == \
@@ -1731,8 +1746,8 @@ class TestRendering:
     def test_equal_cells_that_render_differently_stay_apart(self):
         # equal as values, apart as objects: a memo keyed by value would merge them
         zero = FuzzyValue.crisp(0.0)
-        cells = [[0.0, zero, 1], [-0.0, FuzzyValue.crisp(-0.0), True], [0.0, zero, 1.0]]
-        result = Result(["x", "y", "z"], cells, ExecutionStats(rows_out=3))
+        columns = [[0.0, -0.0, 0.0], [zero, FuzzyValue.crisp(-0.0), zero], [1, True, 1.0]]
+        result = Result(["x", "y", "z"], columns, ExecutionStats(rows_out=3))
         assert format_result(result, "csv") == "x,y,z\n0,0,1\n-0.0,-0.0,1\n0,0,1"
         assert format_result(result, "jsonl").splitlines() == [
             '{"x": 0, "y": "0", "z": 1}', '{"x": -0.0, "y": "-0.0", "z": true}',
@@ -1759,11 +1774,11 @@ class TestRendering:
 
     def test_jsonl_key_taken_twice_keeps_its_first_place_and_last_cell(self):
         # 'a' again is keyed a#2, which a header already is; json.dumps of the record merged them
-        result = Result(["a", "a#2", "a", "b"], [[1, 2, 3, 4]], ExecutionStats(rows_out=1))
+        result = Result(["a", "a#2", "a", "b"], [[1], [2], [3], [4]], ExecutionStats(rows_out=1))
         assert format_result(result, "jsonl") == '{"a": 1, "a#2": 3, "b": 4}'
 
     def test_first_cell_at_fault_in_row_order_is_named(self):
-        result = Result(["x", "y"], [[1.0, math.nan], [math.inf, 2.0]], ExecutionStats(rows_out=2))
+        result = Result(["x", "y"], [[1.0, math.inf], [math.nan, 2.0]], ExecutionStats(rows_out=2))
         for fmt in ("table", "csv", "jsonl"):
             with pytest.raises(FuzzyDbError, match="^expected a finite number, got nan$"):
                 format_result(result, fmt)
@@ -1828,7 +1843,8 @@ class TestRendering:
 
     def test_jsonl_numbers_match_the_other_formats(self):
         cells = [1e300, -0.0, 0.0, 3.0, 0.5, 1e16, 123456789012345.0, 7, "x"]
-        result = Result([f"c{i}" for i in range(len(cells))], [cells], ExecutionStats(rows_out=1))
+        result = Result([f"c{i}" for i in range(len(cells))], [[c] for c in cells],
+                        ExecutionStats(rows_out=1))
         assert format_result(result, "csv").splitlines()[1] == (
             "1e+300,-0.0,0,3,0.5,1e+16,123456789012345,7,x"
         )
