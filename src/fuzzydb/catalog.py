@@ -81,6 +81,8 @@ class LabelDefinition:
     trap: Optional[Trapezoid] = None
 
     def __post_init__(self):
+        if not isinstance(self.fuzzy_id, int) or isinstance(self.fuzzy_id, bool):  # True saves as 'True'
+            raise CatalogError(f"label id must be an integer, got {self.fuzzy_id!r}")
         if self.fuzzy_id < 1:
             raise CatalogError(f"label ids start at 1, got {self.fuzzy_id}")
         _check_name(self.name, "label name")

@@ -15,12 +15,9 @@ import sys
 from .catalog import ATTRIBUTES_FILE, Catalog, load_catalog, save_catalog
 from .core import format_number
 from .data import case_study_dir
-from .engine import format_result, run_query
+from .engine import FORMATS, LOCALES, format_result, run_query
 from .errors import CatalogError, FsqlError, FuzzyDbError
 from .fsql import compile_query, parse_query
-
-FORMATS = ("table", "csv", "jsonl")
-LOCALES = ("dot", "comma")
 
 
 def _env(name: str):
@@ -143,7 +140,7 @@ def _catalog_summary(catalog: Catalog) -> str:
             lines.append("  labels: " + "; ".join(parts))
         pairs = attr.similarity.pairs() if attr.similarity is not None else []
         if pairs:
-            lines.append("  similarity: " + ", ".join(f"{d1}~{d2}={s}" for d1, d2, s in pairs))
+            lines.append("  similarity: " + ", ".join(f"{d1}~{d2}={format_number(s)}" for d1, d2, s in pairs))
     return "\n".join(lines)
 
 

@@ -21,7 +21,7 @@ import types
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, List, Optional, Tuple, Union
 
-from .errors import FuzzyValueError, SimilarityError
+from .errors import ConversionError, FuzzyValueError, SimilarityError
 
 # Degrees are plain floats in [0, 1]; check_degree guards the boundary.
 Degree = float
@@ -290,9 +290,20 @@ def value_corners(value: FuzzyValue, resolve: Optional[ResolveLabel] = None,
     return (t.a, t.b, t.c, t.d)
 
 
-def number_corners(x: float) -> Corners:
-    """The point (x, x, x, x) of a plain number x, which must be finite as FuzzyValue.crisp's."""
-    x = float(x)
+def plain_number(cell) -> float:
+    """A plain (type 1) int or float cell as a float, else a ConversionError; inf and nan pass."""
+    if isinstance(cell, (int, float)):
+        try:
+            return float(cell)
+        except OverflowError:
+            raise ConversionError(
+                "expected a finite number, got an integer too large for a float") from None
+    raise ConversionError(f"expected a number, got {cell!r}")
+
+
+def number_corners(cell) -> Corners:
+    """The point (x, x, x, x) of plain cell x, which must be finite as FuzzyValue.crisp's."""
+    x = plain_number(cell)
     _check_finite(x, "crisp value")
     return (x, x, x, x)
 
@@ -522,14 +533,13 @@ def feq(v1: FuzzyValue, v2: FuzzyValue, attr) -> Degree:
     return feq_column(v2, attr, (v1,))[0]
 
 
-def feq_column(operand: FuzzyValue, attr, cells: Iterable,
-               number: Optional[Callable[[object], float]] = None) -> List[Degree]:
+def feq_column(operand: FuzzyValue, attr, cells: Iterable) -> List[Degree]:
     """feq(cell, operand, attr) for each of cells, in one pass: the one statement of FEQ.
 
     attr supplies the comparison context: its fuzzy type (ftype 1, 2, or 3),
     a trapezoid_for(name) label resolver for ordered domains, and a
     similarity relation for unordered ones.  A cell that is not a FuzzyValue
-    is the crisp value of the float number(cell), with no FuzzyValue built.
+    is the crisp value of plain_number(cell), checked by number_corners.
 
     Special values resolve first: UNKNOWN on either side gives 1 (total
     ignorance makes equality fully possible), then UNDEFINED gives 0 (no
@@ -541,9 +551,9 @@ def feq_column(operand: FuzzyValue, attr, cells: Iterable,
     distributes over max and both only select, that is max-min over every
     pair of pairs, min(p, q, s(d, e)), bit for bit.
     """
-    if operand.kind in SPECIAL_KINDS:  # no cell is reduced, but a plain one must be a finite number
-        values = [c if isinstance(c, FuzzyValue) else FuzzyValue.crisp(number(c)) for c in cells]
-        return [1.0 if _UNKNOWN in (operand.kind, value.kind) else 0.0 for value in values]
+    if operand.kind in SPECIAL_KINDS:  # no cell is reduced, but number_corners checks a plain one
+        kinds = [c.kind if isinstance(c, FuzzyValue) else number_corners(c) and _CRISP for c in cells]
+        return [1.0 if _UNKNOWN in (operand.kind, kind) else 0.0 for kind in kinds]
     out = []
     append = out.append
     if attr.ftype in (1, 2):
@@ -561,7 +571,7 @@ def feq_column(operand: FuzzyValue, attr, cells: Iterable,
                     continue
                 corners = value_corners(cell, resolve, refused)
             else:
-                corners = number_corners(number(cell))
+                corners = number_corners(cell)
             if against is None:
                 against = value_corners(operand, resolve, refused)
             append(possibility_eq_corners(corners, against))
@@ -577,7 +587,7 @@ def feq_column(operand: FuzzyValue, attr, cells: Iterable,
                 append(0.0)
                 continue
         else:
-            number_corners(number(cell))
+            number_corners(cell)
             kind = _CRISP
         if weights is None:  # attr, then the cell, then the operand
             if attr.ftype != 3:

@@ -9,11 +9,11 @@ load_table decodes each cell text once per column: one decoder per column
 reads the text, repeated plain cells and cells of the small-vocabulary kinds
 share one (immutable) value object, and repeated scalar pairs share one tuple.
 run_query keeps the rows of every table file it read under the current
-catalog and data dir (they die with that catalog): a reread serves each
-unchanged one-line record by looking its line up, before the CSV reader, and
-decodes only the records that changed.  A field longer than
-csv.field_size_limit() is a DataFileError naming path:line, and save_table
-refuses to write one.
+catalog and data dir in a weakref.WeakKeyDictionary, so they die with that
+catalog: a reread serves each unchanged one-line record by looking its line
+up, before the CSV reader, and decodes only the records that changed.  A
+field longer than csv.field_size_limit() is a DataFileError naming
+path:line, and save_table refuses to write one.
 
 save_table is the mirror of load_table: one encoder per column writes each
 distinct value object once, straight to the cell text the column's decoder
@@ -26,8 +26,8 @@ becomes text once, through one table of text functions by value kind
 column texts, byte for byte as rendering row by row would write them.  _per_distinct is the one "once per distinct cell
 object" rule, of the writer and the renderer.  execute holds no degree
 arithmetic: each condition is one call of core.feq_column over its column.
-execute, save_table and format_result check a plain cell that is not text
-through one function, _number (format_number checks a float itself).
+The kernel, save_table and format_result read a plain cell that is not text
+through one function, core.plain_number (format_number checks a float itself).
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ from .catalog import (
     cell_encoder,
     parse_number,
 )
-from .core import FuzzyValue, ValueKind, feq_column, fold_name, format_number
+from .core import FuzzyValue, ValueKind, feq_column, fold_name, format_number, plain_number
 from .errors import ConversionError, DataFileError, FuzzyDbError, undecodable_line
 from .fsql.compiler import (
     CompiledCondition,
@@ -150,19 +150,10 @@ def _not_plain(value, want: str) -> ConversionError:
     return ConversionError(f"expected {want}, got {got}")
 
 
-def _number(value) -> float:
-    """A plain int or float cell as a float, else a ConversionError; inf and nan pass."""
-    if isinstance(value, (int, float)):
-        try:
-            return float(value)
-        except OverflowError:
-            raise ConversionError(
-                "expected a finite number, got an integer too large for a float") from None
-    raise _not_plain(value, "a number")
-
-
 def _number_cell(value) -> str:
-    return format_number(_number(value))  # a FuzzyValueError for inf and nan
+    if isinstance(value, FuzzyValue):
+        raise _not_plain(value, "a number")
+    return format_number(plain_number(value))  # a FuzzyValueError for inf and nan
 
 
 def _text_cell(value) -> str:
@@ -441,7 +432,7 @@ def execute(plan: CompiledPlan, table: Table) -> Result:
     cells, found M" for the first such row, before any degree is computed.
     Then a cell that cannot be compared raises what feq raises for the first
     such cell in row order, then condition order; a plain cell that is not a
-    number raises the ConversionError save_table gives for it.
+    number raises the ConversionError that core.plain_number gives for it.
     """
     start = time.perf_counter()
     rows = table.rows
@@ -454,11 +445,11 @@ def execute(plan: CompiledPlan, table: Table) -> Result:
         return list(map(operator.itemgetter(table.column_index(attr.column)), of_rows))
 
     try:
-        degrees = [feq_column(c.operand, c.attr, cells(c.attr, rows), _number) for c in plan.conditions]
+        degrees = [feq_column(c.operand, c.attr, cells(c.attr, rows)) for c in plan.conditions]
     except FuzzyDbError:
         for row in rows:  # raise what the first cell at fault raises, in row order, then condition order
             for c in plan.conditions:
-                feq_column(c.operand, c.attr, cells(c.attr, [row]), _number)
+                feq_column(c.operand, c.attr, cells(c.attr, [row]))
         raise
     keep = None if plan.tree is None else _passes(plan.tree, degrees)
     kept = rows if keep is None else list(compress(rows, keep))
@@ -478,13 +469,10 @@ def execute(plan: CompiledPlan, table: Table) -> Result:
     return Result(plan.headers(), columns, stats, plan)
 
 
-# run_query's data_dir reads: one RecordCache per table, by canonical name, all
-# read under _read_under: a weak reference to the Catalog object of the last
-# such read, and its data dir.  A read under another pair empties every entry
-# first, and so does that catalog's death, through the reference's callback; a
-# replaced reference is dropped with its callback, so it clears nothing.
-_last_read: Dict[str, RecordCache] = {}
-_read_under: tuple = (lambda: None, None)
+# run_query's data_dir reads, by Catalog object: (data dir, {canonical table
+# name: RecordCache}).  A read under another catalog or data dir empties it
+# first, and an entry dies with its catalog: nothing in it refers to the catalog.
+_last_read: weakref.WeakKeyDictionary[Catalog, tuple] = weakref.WeakKeyDictionary()
 
 
 def run_query(
@@ -499,9 +487,8 @@ def run_query(
     The table comes from the tables mapping when given, otherwise from
     <data_dir>/<table>.csv; only reading that file counts as load time, and
     only records changed since the last read of that table under the same
-    catalog object and data dir are decoded (RecordCache, one per table).
+    catalog object and data dir are decoded (RecordCache, one per table, in _last_read).
     """
-    global _read_under
     t0 = time.perf_counter()
     query = parse_query(text)
     t1 = time.perf_counter()
@@ -518,10 +505,11 @@ def run_query(
     if table is None and data_dir is not None:
         t3 = time.perf_counter()
         data_dir = os.fspath(data_dir)
-        if _read_under[0]() is not catalog or _read_under[1] != data_dir:
+        held = _last_read.get(catalog)
+        if held is None or held[0] != data_dir:
             _last_read.clear()
-            _read_under = (weakref.ref(catalog, lambda _: _last_read.clear()), data_dir)
-        reuse = _last_read.setdefault(catalog.table_name(plan.table), RecordCache())
+            held = _last_read[catalog] = (data_dir, {})
+        reuse = held[1].setdefault(catalog.table_name(plan.table), RecordCache())
         table = load_table(os.path.join(data_dir, plan.table + ".csv"), plan.table, catalog,
                            reuse=reuse)
         load_seconds = time.perf_counter() - t3
@@ -541,6 +529,16 @@ def run_query(
 
 def _comma_number(x) -> str:
     return format_number(x).replace(".", ",")
+
+
+# Each locale's number writer.  FORMATS and LOCALES are the CLI's choices too.
+LOCALES = {"dot": format_number, "comma": _comma_number}
+
+
+def _number_writer(locale: str) -> Callable[[float], str]:
+    if locale not in LOCALES:
+        raise ValueError(f"unknown locale {locale!r}")
+    return LOCALES[locale]
 
 
 def _pairs_text(value: FuzzyValue, number: Callable[[float], str]) -> str:
@@ -571,13 +569,9 @@ def _cell_text(plain: Callable[[float], str], inner: Callable[[float], str]) -> 
             return _KIND_TEXT[cell.kind](cell, inner)
         if isinstance(cell, str):
             return cell
-        return plain(cell if isinstance(cell, float) else _number(cell))
+        return plain(cell if isinstance(cell, float) else plain_number(cell))
 
     return text
-
-
-_dot_text = _cell_text(format_number, format_number)
-_comma_text = _cell_text(_comma_number, _comma_number)
 
 
 class _NumberTexts(dict):
@@ -607,9 +601,10 @@ def render_value(value, locale: str = "dot") -> str:
     values: the specials by name, $label, [low, high], #center~margin,
     $[a, b, c, d], and possibility pairs as 'degree/element'.  The comma
     locale writes ',' for the decimal point of numbers, never in a label
-    name, an element or a text cell.
+    name, an element or a text cell.  A locale not in LOCALES is a ValueError.
     """
-    return (_comma_text if locale == "comma" else _dot_text)(value)
+    number = _number_writer(locale)
+    return _cell_text(number, number)(value)
 
 
 _json = json.JSONEncoder(ensure_ascii=False).encode  # as json.dumps(x, ensure_ascii=False)
@@ -625,7 +620,7 @@ def _json_cell(text: Callable[[object], str]) -> Callable[[object], str]:
             return format_number(cell)  # valid JSON, and the number the other formats print
         if isinstance(cell, str):
             return _json(cell)
-        _number(cell)  # an int or a bool in a float's range, else a ConversionError
+        plain_number(cell)  # an int or a bool in a float's range, else a ConversionError
         # json writes an int as its repr and a bool as true or false; encode is slower on numbers
         return repr(cell) if type(cell) is int else _json(cell)
 
@@ -672,7 +667,7 @@ def _jsonl(result: Result, text: Callable[[object], str]) -> str:
 
 
 # Each format's renderer, called with the function that writes one cell.
-_FORMATS = {"table": _table, "csv": _csv, "jsonl": _jsonl}
+FORMATS = {"table": _table, "csv": _csv, "jsonl": _jsonl}
 
 
 def format_result(result: Result, fmt: str = "table", locale: str = "dot") -> str:
@@ -683,14 +678,20 @@ def format_result(result: Result, fmt: str = "table", locale: str = "dot") -> st
     one that rendering the rows one by one, cell by cell, gives.  A cell that
     cannot be rendered (a plain cell that is not text or a finite number)
     raises the error of the first such cell in row order, then column order.
-    The time taken is set as result.stats.render_seconds.
+    An unknown fmt or locale, or headers and columns of unequal number or
+    length, is a ValueError raised first.  The time taken is set as
+    result.stats.render_seconds.
     """
     start = time.perf_counter()
-    render = _FORMATS.get(fmt)
+    render = FORMATS.get(fmt)
     if render is None:
         raise ValueError(f"unknown result format {fmt!r}")
-    comma = locale == "comma" and render is not _jsonl  # jsonl writes its numbers with a dot
-    number = _comma_number if comma else format_number
+    number = _number_writer(locale)
+    if render is _jsonl:
+        number = format_number  # jsonl writes its numbers with a dot
+    lengths = list(map(len, result.columns))
+    if len(lengths) != len(result.headers) or len(set(lengths)) > 1:
+        raise ValueError(f"result has {len(result.headers)} headers and columns of lengths {lengths}")
     # A cell renders once per distinct object.  The numbers inside fuzzy values
     # (corners, degrees) also repeat across distinct cells, so they are written
     # once per distinct value; plain numbers gain nothing from that.

@@ -47,12 +47,13 @@ class DataFileError(FuzzyDbError):
 def undecodable_line(path) -> int:
     """1-based line of the first byte in path that is not UTF-8, or 0 if there is none.
 
-    Readers call this only after a decoding failure, so normal reads stay streaming.
+    '\n', '\r' and '\r\n' each end a line, as both readers take them.  Readers
+    call this only after a decoding failure, so normal reads stay streaming.
     """
     with open(path, "rb") as f:
         data = f.read()
     try:
         data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        return data.count(b"\n", 0, exc.start) + 1
+        return len((data[:exc.start] + b"?").splitlines())  # '?' stands for the bad byte
     return 0

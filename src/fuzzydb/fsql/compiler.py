@@ -214,6 +214,8 @@ class _Compiler:
 
 def compile_query(query, catalog: Catalog, default_threshold: float = 1.0) -> CompiledPlan:
     """Validate a parsed query (or FSQL text) against a catalog and lower it."""
+    if not 0.0 <= default_threshold <= 1.0:
+        raise CompileError(f"default threshold must be in [0, 1], got {default_threshold!r}")
     if isinstance(query, str):
         query = parse_query(query)
     return _Compiler(query, catalog, default_threshold).run()

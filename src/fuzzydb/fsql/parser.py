@@ -142,20 +142,6 @@ class Query:
             text += f" WHERE {render_filter(self.where)}"
         return text + ";"
 
-    def conditions(self) -> List[Condition]:
-        """Every condition in the WHERE clause, in source order."""
-        found = []
-
-        def walk(node):
-            if isinstance(node, Condition):
-                found.append(node)
-            elif isinstance(node, (And, Or)):
-                for child in node.children:
-                    walk(child)
-
-        walk(self.where)
-        return found
-
 
 def render_query(query: Query) -> str:
     """Canonical single-line text; parsing it back yields an equal Query."""

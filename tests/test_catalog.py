@@ -100,6 +100,27 @@ class TestLabels:
         with pytest.raises(CatalogError):
             small_catalog.define_label("lots", "finish", "MATTE")
 
+    @pytest.mark.parametrize("fuzzy_id,shown", [(2.0, "2.0"), (True, "True"), (2.5, "2.5"), ("3", "'3'")])
+    def test_ids_must_be_ints(self, small_catalog, fuzzy_id, shown):
+        with pytest.raises(CatalogError) as err:
+            small_catalog.define_label("lots", "finish", "rough", fuzzy_id=fuzzy_id)
+        assert str(err.value) == f"label id must be an integer, got {shown}"
+        assert small_catalog.get("lots", "finish").find_label("rough") is None
+
+    def test_ids_start_at_1(self, small_catalog):
+        with pytest.raises(CatalogError) as err:
+            small_catalog.define_label("lots", "finish", "rough", fuzzy_id=0)
+        assert str(err.value) == "label ids start at 1, got 0"
+
+    def test_accepted_ids_load_back(self, small_catalog, tmp_path):
+        small_catalog.define_label("lots", "finish", "rough", fuzzy_id=7)
+        small_catalog.define_label("lots", "width", "huge", (80, 90, 200, 200), fuzzy_id=12)
+        save_catalog(small_catalog, tmp_path)
+        loaded = load_catalog(tmp_path)
+        for column in ("finish", "width"):
+            assert [(ld.fuzzy_id, ld.name) for ld in loaded.get("lots", column).labels] == [
+                (ld.fuzzy_id, ld.name) for ld in small_catalog.get("lots", column).labels]
+
     def test_trapezoid_for(self, small_catalog):
         attr = small_catalog.get("lots", "width")
         assert attr.trapezoid_for("NARROW") == Trapezoid(0, 0, 30, 40)
@@ -494,6 +515,18 @@ class TestPersistence:
         with pytest.raises(CatalogError) as err:
             load_catalog(tmp_path)
         assert "labels.tsv:5: not valid UTF-8" in str(err.value)
+
+    @pytest.mark.parametrize("end", [b"\r", b"\r\n"])
+    def test_bad_bytes_named_by_line_with_any_line_end(self, small_catalog, tmp_path, end):
+        save_catalog(small_catalog, tmp_path)
+        path = tmp_path / "labels.tsv"
+        text = path.read_bytes()
+        path.write_bytes(text.replace(b"\n", end))
+        assert load_catalog(tmp_path).get("lots", "finish").find_label("satin") is not None
+        path.write_bytes(text.replace(b"satin", b"sat\xffn").replace(b"\n", end))
+        with pytest.raises(CatalogError) as err:
+            load_catalog(tmp_path)
+        assert str(err.value) == f"{path}:5: not valid UTF-8"
 
     def test_conflicting_similarity_pairs(self, small_catalog, tmp_path):
         save_catalog(small_catalog, tmp_path)

@@ -111,6 +111,29 @@ class TestQueryCommand:
         assert main(["query", f"SELECT nombre FROM personas WHERE {where}", "--explain"]) == 0
         assert capsys.readouterr().out.splitlines()[-1] == filter_line
 
+    def test_explain_number_operand_and_units(self, capsys):
+        assert main(["query", "SELECT nombre, edad FROM personas WHERE edad FEQ 26", "--explain"]) == 0
+        assert capsys.readouterr().out == (
+            "SELECT nombre, edad FROM personas WHERE edad FEQ 26;\n"
+            "table: personas\n"
+            "outputs:\n"
+            "  1. nombre (type 1, scalar)\n"
+            "  2. edad (type 2, numeric, years)\n"
+            "conditions:\n"
+            "  1. edad FEQ 26 THOLD 1\n"
+            "filter: 1\n"
+        )
+
+    def test_explain_without_where(self, capsys):
+        assert main(["query", "SELECT cod_pila FROM pilas", "--explain"]) == 0
+        assert capsys.readouterr().out == (
+            "SELECT cod_pila FROM pilas;\n"
+            "table: pilas\n"
+            "outputs:\n"
+            "  1. cod_pila (type 1, numeric)\n"
+            "no filter: every row qualifies\n"
+        )
+
     def test_overflowing_number_exits_1(self, capsys):
         sql = "SELECT nombre FROM personas WHERE edad FEQ 1" + "0" * 400
         assert main(["query", sql]) == 1
@@ -153,6 +176,12 @@ class TestQueryCommand:
         with pytest.raises(SystemExit) as exc:
             main(["query", "SELECT cod_pila FROM pilas", "--thold", "1.5"])
         assert exc.value.code == 2
+
+    def test_threshold_not_a_number(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["query", "SELECT cod_pila FROM pilas", "--thold", "abc"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith("error: argument --thold: not a number: 'abc'\n")
 
 
 class TestBadInput:
@@ -302,6 +331,20 @@ class TestRepl:
         assert code == 0
         assert out == ""
 
+    def test_format_command_shows_and_refuses(self, monkeypatch, capsys):
+        script = ".format\n.format xml\n.format\nSELECT cod_pila FROM pilas WHERE cod_pila FEQ 3\n.quit\n"
+        code, out, err = self.run(monkeypatch, capsys, script)
+        assert code == 0
+        assert err.split("fsql> ")[1:4] == ["table\n", "unknown format 'xml'\n", "table\n"]
+        assert "(1 row)" in out
+
+    def test_thold_command_shows_and_refuses(self, monkeypatch, capsys):
+        script = ".thold\n.thold abc\n.thold 2\n.thold\n.thold 0.25\n.thold\n.quit\n"
+        code, _, err = self.run(monkeypatch, capsys, script)
+        assert code == 0
+        assert err.split("fsql> ")[1:7] == ["1.0\n", "not a number: 'abc'\n",
+                                            "threshold must be in [0, 1]\n", "1.0\n", "", "0.25\n"]
+
     def test_thold_switch(self, monkeypatch, capsys):
         script = (
             ".thold 0.2\n"
@@ -352,6 +395,16 @@ class TestCatalogCommands:
         assert "cartulina.tono_cara: type 3, scalar" in out
         assert "optima(2) $[60, 70, 90, 100]" in out
         assert "sucio~rayas_superficie=0.8" in out
+
+    def test_show_writes_degrees_as_format_number(self, capsys, tmp_path):
+        d = str(tmp_path)
+        assert main(["catalog", "add-attr", "lots.grade", "--type", "3", "--domain", "scalar", "--catalog", d]) == 0
+        for name in ("good", "fair"):
+            assert main(["catalog", "add-label", "lots.grade", name, "--catalog", d]) == 0
+        assert main(["catalog", "set-sim", "lots.grade", "good", "fair", "1", "--catalog", d]) == 0
+        capsys.readouterr()
+        assert main(["catalog", "show", "--catalog", d]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "  similarity: good~fair=1"
 
     def test_editing_workflow(self, capsys, tmp_path):
         d = str(tmp_path)

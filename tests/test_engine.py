@@ -408,6 +408,20 @@ PELO_CELLS = ["0", "2", "3;1;rubio", "3;1;RUBIO", "3;0.5;moreno", "4;0.8;moreno;
 
 
 class TestLoadTable:
+    @pytest.mark.parametrize("end", [b"\r", b"\r\n"])
+    def test_bad_bytes_named_by_line_with_any_line_end(self, case_catalog, case_dir, tmp_path, end):
+        with open(os.path.join(case_dir, "personas.csv"), "rb") as f:
+            text = f.read().replace(b"\n", end)
+        path = tmp_path / "personas.csv"
+        path.write_bytes(text)
+        assert len(load_table(path, "personas", case_catalog).rows) == 8
+        path.write_bytes(text.replace(b"Marta,5;20", b"Marta,5;bad"))
+        with pytest.raises(DataFileError, match=f"^{re.escape(str(path))}:4: column edad: "):
+            load_table(path, "personas", case_catalog)
+        path.write_bytes(text.replace(b"Marta", b"Mart\xff"))
+        with pytest.raises(DataFileError, match=f"^{re.escape(str(path))}:4: not valid UTF-8$"):
+            load_table(path, "personas", case_catalog)
+
     @settings(max_examples=50)
     @given(
         rows=st.lists(
@@ -1005,7 +1019,7 @@ def feq_degrees(cond, cells):
 
 def kernel_degrees(cond, cells):
     """The kernel on cond's column, as execute calls it."""
-    return feq_column(cond.operand, cond.attr, cells, engine._number)
+    return feq_column(cond.operand, cond.attr, cells)
 
 
 def kernel_condition(data, catalog):
@@ -1098,6 +1112,36 @@ def scalar_kernel_attr(data, catalog):
                             similarity=SimilarityRelation(FINISHES, matrix)),
         AttributeDescriptor("lots", "finish", 3, "scalar", labels=labels),
     ]))
+
+
+class TestPlainCells:
+    """The kernel reads a plain (type 1) cell itself, with core.plain_number."""
+
+    @pytest.mark.parametrize("operand", [FuzzyValue.crisp(30), FuzzyValue.label("joven"),
+                                         FuzzyValue.unknown(), FuzzyValue.null()])
+    def test_refused_cells(self, case_catalog, operand):
+        edad = case_catalog.get("personas", "edad")
+        with pytest.raises(ConversionError, match="^expected a number, got 'abc'$"):
+            feq_column(operand, edad, [30.0, "abc"])
+        with pytest.raises(ConversionError, match="^expected a finite number, got an integer too large"):
+            feq_column(operand, edad, [10 ** 400])
+        with pytest.raises(FuzzyValueError, match="^crisp value must be a finite number, got inf$"):
+            feq_column(operand, edad, [math.inf])
+
+    def test_plain_numbers_are_crisp_values(self, case_catalog):
+        edad = case_catalog.get("personas", "edad")
+        cells = [30.0, 30, True, 26.5]
+        assert feq_column(FuzzyValue.crisp(30), edad, cells) == feq_column(
+            FuzzyValue.crisp(30), edad, [FuzzyValue.crisp(c) for c in cells]) == [1.0, 1.0, 0.0, 0.0]
+        assert feq_column(FuzzyValue.unknown(), edad, cells) == [1.0] * 4
+        assert feq_column(FuzzyValue.null(), edad, cells) == [0.0] * 4
+
+    def test_plain_cell_on_an_unordered_column(self, case_catalog):
+        pelo = case_catalog.get("personas", "pelo")
+        with pytest.raises(ConversionError, match="^expected a number, got 'abc'$"):
+            feq_column(FuzzyValue.label("rubio"), pelo, ["abc"])
+        with pytest.raises(FuzzyValueError, match="^crisp value is not comparable on an unordered"):
+            feq_column(FuzzyValue.label("rubio"), pelo, [3.0])
 
 
 class TestScalarKernel:
@@ -1471,6 +1515,11 @@ class TestReloadReuse:
                 read(tmp_path, case_catalog)
 
     @staticmethod
+    def warm():
+        """The tables whose rows run_query holds, under every catalog it holds rows for."""
+        return [table for _, caches in engine._last_read.values() for table in caches]
+
+    @staticmethod
     def decoded(directory, table, catalog):
         return run_query(WARM_READS[table][0], catalog, data_dir=str(directory)).stats.rows_decoded
 
@@ -1479,7 +1528,7 @@ class TestReloadReuse:
         assert self.decoded(case_copy, "cartulina", case_catalog) == 14
         assert self.decoded(case_copy, "personas", case_catalog) == 0
         assert self.decoded(case_copy, "cartulina", case_catalog) == 0
-        assert sorted(engine._last_read) == ["cartulina", "personas"]
+        assert sorted(self.warm()) == ["cartulina", "personas"]
 
     def test_other_catalog_or_data_dir_empties_every_entry(self, tmp_path, case_copy, case_dir,
                                                           case_catalog):
@@ -1490,7 +1539,7 @@ class TestReloadReuse:
         assert self.decoded(case_copy, "cartulina", case_catalog) == 14
         assert self.decoded(case_copy, "personas", case_catalog) == 8
         assert self.decoded(other_dir, "cartulina", case_catalog) == 14
-        assert sorted(engine._last_read) == ["cartulina"]
+        assert sorted(self.warm()) == ["cartulina"]
         assert self.decoded(case_copy, "personas", case_catalog) == 8
         assert self.decoded(case_copy, "personas", case_catalog) == 0
 
@@ -1516,11 +1565,11 @@ class TestReloadReuse:
         self.write(tmp_path, ["Ana,3;26.125;;;,0\n"])
         first, second = load_catalog(case_dir), load_catalog(case_dir)
         self.query(tmp_path, first)
-        entry = weakref.ref(engine._last_read["personas"])
+        entry = weakref.ref(engine._last_read[first][1]["personas"])
         self.query(tmp_path, second)  # the entries are second's now
         del first
         gc.collect()
-        assert sorted(engine._last_read) == ["personas"]
+        assert sorted(self.warm()) == ["personas"]
         assert self.query(tmp_path, second).stats.rows_decoded == 0
         assert entry() is None and len(self.marked(26.125)) == 1
         del second
@@ -1884,3 +1933,24 @@ class TestRendering:
         result = run_query(FLAGSHIP, case_catalog, tables=case_tables)
         with pytest.raises(ValueError):
             format_result(result, "xml")
+
+    @pytest.mark.parametrize("fmt", ["table", "csv", "jsonl"])
+    def test_unknown_locale(self, fmt):
+        result = Result(["a"], [[0.5]], ExecutionStats(rows_out=1))
+        with pytest.raises(ValueError, match="^unknown locale 'Comma'$"):
+            format_result(result, fmt, "Comma")
+        assert result.stats.render_seconds == 0.0
+        with pytest.raises(ValueError, match="^unknown locale 'xx'$"):
+            render_value(FuzzyValue.crisp(0.5), "xx")
+
+    @pytest.mark.parametrize("fmt", ["table", "csv", "jsonl"])
+    @pytest.mark.parametrize("headers, columns, message", [
+        (["a", "b"], [[1.0, 2.0], [3.0]], "result has 2 headers and columns of lengths [2, 1]"),
+        (["a", "b", "c"], [[1.0], [2.0]], "result has 3 headers and columns of lengths [1, 1]"),
+        (["a"], [[1.0], [2.0]], "result has 1 headers and columns of lengths [1, 1]"),
+    ])
+    def test_refuses_a_misshapen_result(self, fmt, headers, columns, message):
+        result = Result(headers, columns, ExecutionStats(rows_out=2))
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            format_result(result, fmt)
+        assert result.stats.render_seconds == 0.0

@@ -355,10 +355,6 @@ class TestParser:
             parse_query("SELECT a FROM t WHERE a FEQ %")
         assert "1:29" in str(err.value)
 
-    def test_conditions_in_source_order(self):
-        q = parse_query("SELECT a FROM t WHERE a FEQ 1 OR (b FEQ 2 AND c FEQ 3)")
-        assert [c.column.column for c in q.conditions()] == ["a", "b", "c"]
-
 
 class TestRender:
     def test_canonical_text(self):
@@ -496,6 +492,31 @@ class TestCompile:
         lines = compile_query(text, case_catalog).explain().splitlines()
         assert lines[0] == expected
         assert lines[-1] == filter_line
+
+    def test_conditions_numbered_in_source_order(self, case_catalog):
+        plan = compile_query(
+            "SELECT cartulina.% FROM cartulina WHERE tono_reverso FEQ $blanco THOLD 0.5 "
+            "OR (cod_carti FEQ 3 AND tono_cara FEQ $cafe THOLD 0.5)",
+            case_catalog,
+        )
+        assert [(c.index, c.attr.column) for c in plan.conditions] == [
+            (0, "tono_reverso"), (1, "cod_carti"), (2, "tono_cara")]
+        assert plan.tree == Or((plan.conditions[0], And(plan.conditions[1:])))
+        # the numbering is what ties each CDEG column of % to its condition
+        assert plan.outputs[5:] == (
+            DegreeColumn("CDEG(tono_reverso)", (0,)),
+            DegreeColumn("CDEG(cod_carti)", (1,)),
+            DegreeColumn("CDEG(tono_cara)", (2,)),
+        )
+        assert plan.explain().splitlines()[-1] == "filter: 1 OR 2 AND 3"
+
+    @pytest.mark.parametrize("threshold", [1.5, -0.5, math.nan])
+    @pytest.mark.parametrize("where", ["", " WHERE tono_cara FEQ $blanco"])
+    def test_default_threshold_is_checked_first(self, case_catalog, threshold, where):
+        with pytest.raises(CompileError) as err:
+            compile_query(f"SELECT cod_carti FROM cartulina{where}", case_catalog, threshold)
+        assert str(err.value) == f"default threshold must be in [0, 1], got {threshold!r}"
+        assert err.value.line is None
 
     def test_qualified_condition_column(self, case_catalog):
         plan = compile_query(
