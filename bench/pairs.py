@@ -1,11 +1,12 @@
 """Benchmark pairs: a parent revision against this checkout, seed by seed.
 
-    python3 bench/pairs.py PARENT OUT.json
+    python3 bench/pairs.py PARENT OUT.json [WORKLOAD ...]
 
 PARENT is any git revision.  Its committed files are copied with git archive
 into a temporary directory (under $TMPDIR), so each side runs its own
-perfbench/run.py on its own src/.  For every workload of BENCHMARK.json and
-seeds 1-10, each side runs
+perfbench/run.py on its own src/.  For every workload of BENCHMARK.json (or
+only the WORKLOADs named, in BENCHMARK.json's order) and seeds 1-10, each
+side runs
 
     perfbench/run.py --workload W --seed S --seconds <run_seconds> --trace 0
 
@@ -74,11 +75,17 @@ def summary(runs: list, spec: dict) -> dict:
 
 
 def main(argv: list) -> int:
-    if len(argv) != 2:
+    if len(argv) < 2:
         sys.exit(__doc__)
-    parent_rev, out_path = argv
+    parent_rev, out_path, *names = argv
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as f:
         spec = json.load(f)
+    unknown = set(names) - {w["name"] for w in spec["workloads"]}
+    if unknown:
+        sys.exit(f"unknown workload {sorted(unknown)[0]!r}; BENCHMARK.json has "
+                 f"{', '.join(w['name'] for w in spec['workloads'])}")
+    if names:
+        spec["workloads"] = [w for w in spec["workloads"] if w["name"] in names]
     parent_commit = git("rev-parse", "--verify", parent_rev + "^{commit}")
     change = {"commit": git("rev-parse", "HEAD"), "uncommitted_changes": bool(git("status", "--porcelain"))}
     runs = []
@@ -100,6 +107,7 @@ def main(argv: list) -> int:
         "parent": {"revision": parent_rev, "commit": parent_commit},
         "change": change,
         "python": platform.python_version(),
+        "workloads": [w["name"] for w in spec["workloads"]],
         "seeds": list(SEEDS),
         "run_seconds": spec["run_seconds"],
         "all_correct": all(r["correct"] is True and r["failed"] == 0 for r in runs),

@@ -218,7 +218,7 @@ def cmd_repl(args) -> int:
                     except argparse.ArgumentTypeError as exc:
                         sys.stderr.write(f"{exc}\n")
                 else:
-                    sys.stderr.write(f"{threshold}\n")
+                    sys.stderr.write(format_number(threshold) + "\n")
             else:
                 sys.stderr.write(f"unknown command {command}; try .help\n")
             continue
@@ -263,7 +263,8 @@ def cmd_catalog(args) -> int:
         message = f"defined label {args.name} on {table}.{column}"
     else:
         catalog.set_similarity(table, column, args.name1, args.name2, args.degree)
-        message = f"set {args.name1}~{args.name2} to {args.degree} on {table}.{column}"
+        degree = format_number(args.degree)
+        message = f"set {args.name1}~{args.name2} to {degree} on {table}.{column}"
     save_catalog(catalog, directory)
     print(message, file=sys.stderr)
     return 0

@@ -11,6 +11,13 @@ corners (possibility_eq_corners; value_corners and number_corners reduce a
 value to corners by its kind); on an unordered one, max-min through the
 similarity relation, off the operand's similarity row.  feq, possibility_eq
 and similarity_eq are thin wrappers over the same forms, so none can drift.
+
+On an ordered domain the kernel scores each distinct crisp number and label
+name once per call, in a dict of their degrees, as dictionary-encoded
+execution does (Abadi, Madden & Ferreira, SIGMOD 2006): equal numbers score
+the same degree bit for bit, 0.0 and -0.0 too, as the closed form only
+compares them and clamps a zero it computes to 0.0.  The unordered branch
+keeps no such dict: there it measured slower.
 """
 
 from __future__ import annotations
@@ -104,6 +111,10 @@ class Trapezoid:
 
 class ValueKind(enum.Enum):
     """The ten cell-value representations the engine stores and compares."""
+
+    # Members are singletons compared by identity, so the C identity hash
+    # serves; Enum's own __hash__ is Python code, run on every dict or set lookup.
+    __hash__ = object.__hash__
 
     UNKNOWN = "unknown"
     UNDEFINED = "undefined"
@@ -546,10 +557,11 @@ def feq_column(operand: FuzzyValue, attr, cells: Iterable) -> List[Degree]:
     value is possible at all), then NULL gives 0.  attr and the operand are
     checked and resolved once, at the first cell that is not special.  On an
     ordered domain a cell scores possibility_eq_corners of its corners and
-    the operand's; on an unordered one, max over its pairs (p, d) of
-    min(p, row[d]), row being the operand's _similarity_row.  As min
-    distributes over max and both only select, that is max-min over every
-    pair of pairs, min(p, q, s(d, e)), bit for bit.
+    the operand's, and a crisp cell or a label cell takes the degree already
+    scored in the call for an equal number or the same name; on an unordered
+    one, max over its pairs (p, d) of min(p, row[d]), row being the operand's
+    _similarity_row.  As min distributes over max and both only select, that
+    is max-min over every pair of pairs, min(p, q, s(d, e)), bit for bit.
     """
     if operand.kind in SPECIAL_KINDS:  # no cell is reduced, but number_corners checks a plain one
         kinds = [c.kind if isinstance(c, FuzzyValue) else number_corners(c) and _CRISP for c in cells]
@@ -560,21 +572,35 @@ def feq_column(operand: FuzzyValue, attr, cells: Iterable) -> List[Degree]:
         resolve = getattr(attr, "trapezoid_for", None)
         refused = f"{{}} value is not comparable on an ordered (type {attr.ftype}) attribute"
         against = None  # the operand's corners
+        known = {}  # the degree of each crisp number and label name scored
         for cell in cells:
+            key = None
             if isinstance(cell, FuzzyValue):
                 kind = cell.kind
-                if kind is _UNKNOWN:
+                if kind is _CRISP:
+                    key = cell.number
+                elif kind is _LABEL:
+                    key = cell.name
+                elif kind is _UNKNOWN:
                     append(1.0)
                     continue
-                if kind is _UNDEFINED or kind is _NULL:
+                elif kind is _UNDEFINED or kind is _NULL:
                     append(0.0)
                     continue
+                if key is not None:
+                    degree = known.get(key)
+                    if degree is not None:
+                        append(degree)
+                        continue
                 corners = value_corners(cell, resolve, refused)
             else:
                 corners = number_corners(cell)
             if against is None:
                 against = value_corners(operand, resolve, refused)
-            append(possibility_eq_corners(corners, against))
+            degree = possibility_eq_corners(corners, against)
+            if key is not None:
+                known[key] = degree
+            append(degree)
         return out
     weights = None  # the operand's similarity row; row holds its entry for each spelling met
     for cell in cells:

@@ -8,12 +8,14 @@ are UTF-8 and may start with a byte order mark.
 load_table decodes each cell text once per column: one decoder per column
 reads the text, repeated plain cells and cells of the small-vocabulary kinds
 share one (immutable) value object, and repeated scalar pairs share one tuple.
-run_query keeps the rows of every table file it read under the current
-catalog and data dir in a weakref.WeakKeyDictionary, so they die with that
-catalog: a reread serves each unchanged one-line record by looking its line
-up, before the CSV reader, and decodes only the records that changed.  A
-field longer than csv.field_size_limit() is a DataFileError naming
-path:line, and save_table refuses to write one.
+run_query keeps the bytes and rows of every table file it read under the
+current catalog and data dir in a weakref.WeakKeyDictionary, so they die
+with that catalog: a reread of a file whose bytes did not change returns its
+rows as they are, with one byte compare; any other reread serves each
+unchanged one-line record by looking its line up, before the CSV reader, and
+decodes only the records that changed.  A field longer than
+csv.field_size_limit() is a DataFileError naming path:line, and save_table
+refuses to write one.
 
 save_table is the mirror of load_table: one encoder per column writes each
 distinct value object once, straight to the cell text the column's decoder
@@ -185,30 +187,34 @@ def format_cell(value, attr: AttributeDescriptor) -> str:
 
 @dataclass
 class RecordCache:
-    """The rows of the table file read last through it, by record text.
+    """The table file read last through it: its bytes, and its rows in file order and by record text.
 
-    A record's text is the line or lines it takes in the file, and load_table
-    looks a one-line record up by its line before the CSV reader sees it.  The
-    rows are reused only by a read of the same path under the same descriptor
-    objects and the same header positions, which is all a row's decoding
-    depends on besides its text (labels are only ever added, and that cannot
-    change a row that decoded).  run_query keeps one per table (_last_read).
+    A record's text is the line or lines it takes in the file.  load_table
+    serves the held rows whole when the file's bytes are the held ones, and
+    otherwise looks a one-line record up by its line before the CSV reader
+    sees it.  The rows are reused only by a read of the same path under the
+    same descriptor objects and the same header positions (which equal bytes
+    have), which is all a row's decoding depends on besides its text (labels
+    are only ever added, and that cannot change a row that decoded).
+    run_query keeps one per table (_last_read).
     """
 
     source: Optional[tuple] = None  # (path, header position of each schema column, schema)
-    rows: Dict[str, list] = field(default_factory=dict)  # record text -> decoded row
+    data: Optional[bytes] = None  # the file's bytes
+    rows: List[list] = field(default_factory=list)  # the decoded rows, in file order
+    records: Dict[str, list] = field(default_factory=dict)  # record text -> decoded row
 
     def take(self):
-        """Empty the cache; return the (source, rows) it held."""
-        held = self.source, self.rows
-        self.source, self.rows = None, {}
+        """Empty the cache; return the (source, data, rows, records) it held."""
+        held = self.source, self.data, self.rows, self.records
+        self.source, self.data, self.rows, self.records = None, None, [], {}
         return held
 
 
-def _same_source(held, source) -> bool:
-    """Whether rows read from held serve source: same path, header positions and descriptors."""
-    return (held is not None and held[:2] == source[:2] and len(held[2]) == len(source[2])
-            and all(map(operator.is_, held[2], source[2])))
+def _same_source(held, path: str, schema) -> bool:
+    """Whether rows read from held serve a read of path under schema: same path, same descriptors."""
+    return (held is not None and held[0] == path and len(held[2]) == len(schema)
+            and all(map(operator.is_, held[2], schema)))
 
 
 def load_table(
@@ -221,20 +227,37 @@ def load_table(
     record starts on (as save_table names it), and the column.  The file is
     UTF-8 and may start with a byte order mark.
 
-    With reuse, only records whose text reuse does not hold are decoded, and
-    reuse then holds this file's rows (shared, so not to be changed), or
-    nothing if the read fails.  A line that reuse holds as a whole record is
-    served by lookup, without the CSV reader: from a record boundary it is that
-    record again.  The reader takes the other lines, and further ones only
-    while a quoted field is open.  A cold read runs the same loop.
+    With reuse, the file's bytes are read first: if they are the bytes reuse
+    holds, read from the same path under the same descriptor objects, its rows
+    come back as they are and no record is decoded.  Otherwise only records
+    whose text reuse does not hold are decoded, and reuse then holds this
+    file's bytes and rows (shared, so not to be changed), or nothing if the
+    read fails.  A line that reuse holds as a whole record is served by
+    lookup, without the CSV reader: from a record boundary it is that record
+    again.  The reader takes the other lines, and further ones only while a
+    quoted field is open.  A cold read runs the same loop.
     """
-    held_source, known = reuse.take() if reuse is not None else (None, {})
+    held = reuse.take() if reuse is not None else (None, None, [], {})
+    held_source, held_data, held_rows, known = held
     schema = catalog.table_schema(table_name)
     by_name = {fold_name(attr.column): attr for attr in schema}
     try:
-        f = open(path, encoding="utf-8-sig", newline="")
+        binary = open(path, "rb")
     except OSError as exc:
         raise DataFileError(f"cannot open table file: {exc}") from None
+    data = None
+    if reuse is not None:
+        try:
+            data = binary.read()
+        except OSError as exc:
+            binary.close()
+            raise DataFileError(f"cannot read table file: {exc}") from None
+        if data == held_data and _same_source(held_source, os.fspath(path), schema):
+            binary.close()
+            reuse.source, reuse.data, reuse.rows, reuse.records = held
+            return Table(catalog.table_name(table_name), list(schema), list(held_rows))
+        binary.seek(0)  # the lines are read from the same open file, so they are data's
+    f = io.TextIOWrapper(binary, encoding="utf-8-sig", newline="")
     pushed, taken = [], []  # the line handed to the reader; the further lines it took for it
 
     def feed():
@@ -273,7 +296,7 @@ def load_table(
                 )
             positions = {name: i for i, name in enumerate(folded)}
             source = (os.fspath(path), [positions[fold_name(a.column)] for a in schema], schema)
-            if not _same_source(held_source, source):
+            if not (_same_source(held_source, source[0], schema) and held_source[1] == source[1]):
                 known = {}  # the old rows go before any record is decoded
             records = {} if reuse is not None else None
             # Per column: where its cells sit, its decoder, and the values already
@@ -320,7 +343,8 @@ def load_table(
         except csv.Error as exc:  # a field longer than csv.field_size_limit(), say
             raise DataFileError(f"{at()}: {exc}") from None
     if reuse is not None:
-        reuse.source, reuse.rows = source, records
+        reuse.source, reuse.data, reuse.rows, reuse.records = source, data, rows, records
+        rows = list(rows)
     return Table(catalog.table_name(table_name), list(schema), rows, decoded)
 
 

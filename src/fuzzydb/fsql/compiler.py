@@ -213,7 +213,12 @@ class _Compiler:
 
 
 def compile_query(query, catalog: Catalog, default_threshold: float = 1.0) -> CompiledPlan:
-    """Validate a parsed query (or FSQL text) against a catalog and lower it."""
+    """Validate a parsed query (or FSQL text) against a catalog and lower it.
+
+    default_threshold is an int or a float in [0, 1], not a bool.
+    """
+    if isinstance(default_threshold, bool) or not isinstance(default_threshold, (int, float)):
+        raise CompileError(f"default threshold must be a number, got {default_threshold!r}")
     if not 0.0 <= default_threshold <= 1.0:
         raise CompileError(f"default threshold must be in [0, 1], got {default_threshold!r}")
     if isinstance(query, str):

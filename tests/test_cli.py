@@ -342,8 +342,8 @@ class TestRepl:
         script = ".thold\n.thold abc\n.thold 2\n.thold\n.thold 0.25\n.thold\n.quit\n"
         code, _, err = self.run(monkeypatch, capsys, script)
         assert code == 0
-        assert err.split("fsql> ")[1:7] == ["1.0\n", "not a number: 'abc'\n",
-                                            "threshold must be in [0, 1]\n", "1.0\n", "", "0.25\n"]
+        assert err.split("fsql> ")[1:7] == ["1\n", "not a number: 'abc'\n",
+                                            "threshold must be in [0, 1]\n", "1\n", "", "0.25\n"]
 
     def test_thold_switch(self, monkeypatch, capsys):
         script = (
@@ -405,6 +405,16 @@ class TestCatalogCommands:
         capsys.readouterr()
         assert main(["catalog", "show", "--catalog", d]) == 0
         assert capsys.readouterr().out.splitlines()[-1] == "  similarity: good~fair=1"
+
+    @pytest.mark.parametrize("degree, shown", [("1", "1"), ("1.0", "1"), ("0.70", "0.7"), ("1e-1", "0.1")])
+    def test_set_sim_reports_the_degree_as_format_number(self, capsys, tmp_path, degree, shown):
+        d = str(tmp_path)
+        assert main(["catalog", "add-attr", "lots.grade", "--type", "3", "--domain", "scalar", "--catalog", d]) == 0
+        for name in ("good", "fair"):
+            assert main(["catalog", "add-label", "lots.grade", name, "--catalog", d]) == 0
+        capsys.readouterr()
+        assert main(["catalog", "set-sim", "lots.grade", "good", "fair", degree, "--catalog", d]) == 0
+        assert capsys.readouterr().err == f"set good~fair to {shown} on lots.grade\n"
 
     def test_editing_workflow(self, capsys, tmp_path):
         d = str(tmp_path)

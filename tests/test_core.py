@@ -87,6 +87,19 @@ class TestSlottedValues:
             assert again == value and hash(again) == hash(value)
             assert repr(again) == repr(value)  # every field, sign of zero included
 
+    def test_kinds_hash_by_identity(self):
+        # dict keys and set members, as the renderers and load_table use them
+        assert ValueKind.__hash__ is object.__hash__
+        text = {kind: kind.value for kind in ValueKind}
+        shared = frozenset({ValueKind.CRISP, ValueKind.LABEL})
+        for value in self.VALUES:
+            again = pickle.loads(pickle.dumps(value))
+            assert again.kind is value.kind and ValueKind(value.kind.value) is value.kind
+            assert text[again.kind] == value.kind.value
+            assert (again.kind in shared) == (value.kind.name in ("CRISP", "LABEL"))
+            assert hash(again) == hash(value) and {again: 1}[value] == 1
+        assert len(set(ValueKind) | set(map(pickle.loads, map(pickle.dumps, ValueKind)))) == 10
+
     @pytest.mark.parametrize("value", [FuzzyValue.crisp(1), Trapezoid(1, 2, 3, 4)])
     def test_no_attributes_beyond_the_fields(self, value):
         assert not hasattr(value, "__dict__")

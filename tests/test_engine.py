@@ -6,9 +6,11 @@ import gc
 import io
 import json
 import math
+import operator
 import os
 import re
 import shutil
+import types
 import weakref
 
 import pytest
@@ -1052,6 +1054,40 @@ class TestOrderedKernel:
         assert (oracle_outcome(kernel_degrees, cond, cells)
                 == oracle_outcome(feq_degrees, cond, cells))
 
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_repeated_numbers_and_names_match_feq_bit_for_bit(self, lots_catalog, data):
+        # few distinct values, drawn again and again as distinct and as shared objects:
+        # both zeros, an int crisp beside its float, two spellings of a label, and faults
+        cond = kernel_condition(data, lots_catalog)
+        labels = LOTS_LABELS[cond.attr.column]
+        pool = data.draw(st.lists(kernel_cells(labels), min_size=1, max_size=4))
+        pool += [FuzzyValue.crisp(0.0), FuzzyValue.crisp(-0.0), FuzzyValue(ValueKind.CRISP, number=3),
+                 FuzzyValue.crisp(3), *map(FuzzyValue.label, labels), FuzzyValue.label(labels[0].upper())]
+        faults = [FuzzyValue.label("nope"), FuzzyValue.simple(1, "satin"), math.inf]
+        picks = data.draw(st.lists(st.sampled_from(pool + faults), max_size=30))
+        cells = [copy.copy(c) if data.draw(st.booleans()) else c for c in picks]
+        assert (oracle_outcome(kernel_degrees, cond, cells)
+                == oracle_outcome(feq_degrees, cond, cells))
+        assert (oracle_outcome(kernel_degrees, cond, iter(cells))
+                == oracle_outcome(feq_degrees, cond, cells))
+
+    def test_a_label_is_resolved_once_per_name_and_call(self, lots_catalog):
+        width = lots_catalog.get("lots", "width")
+        asked = []
+
+        def trapezoid_for(name):
+            asked.append(name)
+            return width.trapezoid_for(name)
+
+        attr = types.SimpleNamespace(ftype=2, trapezoid_for=trapezoid_for)
+        cells = [FuzzyValue.label(name) for name in ("narrow", "Wide", "narrow", "NARROW", "Wide")] * 3
+        degrees = feq_column(FuzzyValue.crisp(12), attr, cells)
+        assert repr(degrees) == repr(feq_column(FuzzyValue.crisp(12), width, cells))
+        assert asked == ["narrow", "Wide", "NARROW"]
+        feq_column(FuzzyValue.crisp(12), attr, cells[:2])
+        assert asked[3:] == ["narrow", "Wide"]  # nothing is kept from one call to the next
+
     @pytest.mark.parametrize("ftype", [1, 2])
     def test_operand_is_resolved_only_for_a_cell_that_is_not_special(self, ftype):
         # a descriptor assembled by hand: its label has no trapezoid, which feq
@@ -1408,6 +1444,101 @@ class TestReloadReuse:
         lines[3] = "P3,0,0\n"
         self.write(tmp_path, lines)
         assert self.query(tmp_path, case_catalog).stats.rows_decoded == 6
+
+    @staticmethod
+    def no_reader(monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the CSV reader ran")
+        monkeypatch.setattr(engine.csv, "reader", refuse)
+
+    def test_unchanged_bytes_return_the_held_rows(self, tmp_path, case_catalog, monkeypatch):
+        self.write(tmp_path, _person_lines(50))
+        first = self.query(tmp_path, case_catalog)
+        self.no_reader(monkeypatch)
+        again = self.query(tmp_path, case_catalog)
+        assert again.stats.rows_decoded == 0 and again.rows == first.rows
+        assert all(map(operator.is_, again.columns[1], first.columns[1]))  # the same cell objects
+
+    def test_the_read_after_a_rewrite_serves_the_next_one(self, tmp_path, case_catalog, monkeypatch):
+        lines = _person_lines(50)
+        self.write(tmp_path, lines)
+        self.query(tmp_path, case_catalog)
+        lines[7] = "P7,3;77;;;,0\n"
+        self.write(tmp_path, lines)
+        changed = self.query(tmp_path, case_catalog)  # by line lookup, and the reader for P7
+        assert changed.stats.rows_decoded == 1
+        self.no_reader(monkeypatch)
+        again = self.query(tmp_path, case_catalog)
+        assert again.stats.rows_decoded == 0 and again.rows == changed.rows
+        monkeypatch.undo()
+        assert again.rows == self.cold(tmp_path, case_catalog).rows
+
+    def test_one_changed_byte_decodes_one_record(self, tmp_path, case_catalog):
+        self.write(tmp_path, _person_lines(50))
+        self.query(tmp_path, case_catalog)
+        path = tmp_path / "personas.csv"
+        data = path.read_bytes()
+        at = data.index(b"P31,3;31")
+        path.write_bytes(data[:at + 7] + b"2" + data[at + 8:])  # edad 31 -> 32
+        result = self.query(tmp_path, case_catalog)
+        assert result.stats.rows_decoded == 1
+        assert result.rows == self.cold(tmp_path, case_catalog).rows
+        assert result.rows[31][1] == FuzzyValue.crisp(32)
+
+    def test_same_bytes_under_other_descriptors_miss(self, tmp_path, case_dir, case_catalog,
+                                                     monkeypatch):
+        self.write(tmp_path, _person_lines(5))
+        path = tmp_path / "personas.csv"
+        reuse = engine.RecordCache()
+        first = load_table(path, "personas", case_catalog, reuse=reuse)
+        assert load_table(path, "personas", case_catalog, reuse=reuse).decoded == 0
+        assert load_table(path, "personas", load_catalog(case_dir), reuse=reuse).decoded == 5
+        load_table(path, "personas", case_catalog, reuse=reuse)
+        schema = case_catalog.table_schema("personas")
+        schema[1] = copy.copy(schema[1])  # an equal descriptor, another object
+        monkeypatch.setattr(case_catalog, "table_schema", lambda table: list(schema))
+        again = load_table(path, "personas", case_catalog, reuse=reuse)
+        assert again.decoded == 5 and again.rows == first.rows
+        assert reuse.source[2] == schema and reuse.source[2][1] is schema[1]
+
+    def test_held_rows_come_back_in_a_new_list(self, tmp_path, case_catalog):
+        self.write(tmp_path, _person_lines(3))
+        path = tmp_path / "personas.csv"
+        reuse = engine.RecordCache()
+        for _ in range(2):
+            table = load_table(path, "personas", case_catalog, reuse=reuse)
+            table.rows.clear()
+        assert len(load_table(path, "personas", case_catalog, reuse=reuse).rows) == 3
+
+    def test_failed_byte_read_closes_the_file(self, tmp_path, case_catalog, monkeypatch):
+        self.write(tmp_path, _person_lines(3))
+        opened = []
+
+        class Failing(io.BytesIO):
+            def read(self, *args):
+                raise OSError(5, "Input/output error")
+
+        def fake_open(path, mode):
+            opened.append(Failing())
+            return opened[-1]
+
+        monkeypatch.setattr(engine, "open", fake_open, raising=False)
+        with pytest.raises(DataFileError, match=r"^cannot read table file: \[Errno 5\] Input/output error$"):
+            self.query(tmp_path, case_catalog)
+        assert [f.closed for f in opened] == [True]
+
+    def test_bad_utf8_empties_the_entry(self, tmp_path, case_catalog):
+        self.write(tmp_path, _person_lines(5))
+        path = tmp_path / "personas.csv"
+        good = path.read_bytes()
+        self.query(tmp_path, case_catalog)
+        path.write_bytes(good.replace(b"P3", b"P\xff"))
+        with pytest.raises(DataFileError, match="personas.csv:5: not valid UTF-8$"):
+            self.query(tmp_path, case_catalog)
+        entry = engine._last_read[case_catalog][1]["personas"]
+        assert (entry.source, entry.data, entry.rows, entry.records) == (None, None, [], {})
+        path.write_bytes(good)
+        assert self.query(tmp_path, case_catalog).stats.rows_decoded == 5
 
     def test_other_catalog_or_column_misses(self, tmp_path, case_dir, case_catalog):
         self.write(tmp_path, _person_lines(5))

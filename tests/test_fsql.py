@@ -14,6 +14,7 @@ from fuzzydb import (
     format_number,
     parse_query,
     render_query,
+    run_query,
 )
 from fuzzydb.fsql import (
     And,
@@ -517,6 +518,22 @@ class TestCompile:
             compile_query(f"SELECT cod_carti FROM cartulina{where}", case_catalog, threshold)
         assert str(err.value) == f"default threshold must be in [0, 1], got {threshold!r}"
         assert err.value.line is None
+
+    @pytest.mark.parametrize("threshold", ["0.5", None, True, False])
+    @pytest.mark.parametrize("where", ["", " WHERE tono_cara FEQ $blanco"])
+    def test_default_threshold_must_be_a_number(self, case_catalog, threshold, where):
+        text = f"SELECT cod_carti FROM cartulina{where}"
+        message = f"default threshold must be a number, got {threshold!r}"
+        for run in (compile_query, lambda q, cat, t: run_query(q, cat, tables={}, default_threshold=t)):
+            with pytest.raises(CompileError) as err:
+                run(text, case_catalog, threshold)
+            assert str(err.value) == message and err.value.line is None
+
+    @pytest.mark.parametrize("threshold", [0, 1, 0.5])
+    def test_default_threshold_int_or_float(self, case_catalog, threshold):
+        plan = compile_query("SELECT cod_carti FROM cartulina WHERE tono_cara FEQ $blanco",
+                             case_catalog, threshold)
+        assert plan.conditions[0].threshold == threshold
 
     def test_qualified_condition_column(self, case_catalog):
         plan = compile_query(
