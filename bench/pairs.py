@@ -4,20 +4,23 @@
 
 PARENT is any git revision.  Its committed files are copied with git archive
 into a temporary directory (under $TMPDIR), so each side runs its own
-perfbench/run.py on its own src/.  For every workload of BENCHMARK.json (or
-only the WORKLOADs named, in BENCHMARK.json's order) and seeds 1-10, each
-side runs
+perfbench/run.py on its own src/.  For seeds 1-10 and, within each seed,
+every workload of BENCHMARK.json in turn (or only the WORKLOADs named, in
+BENCHMARK.json's order), each side runs
 
     perfbench/run.py --workload W --seed S --seconds <run_seconds> --trace 0
 
 once, the parent first on odd seeds and the change first on even ones: the
 randomised-order repetition of Kalibera & Jones, "Rigorous Benchmarking in
-Reasonable Time" (ISMM 2013).  OUT.json holds every raw run, with its
-correct and failed fields, and for each workload and end-to-end metric each
-side's q1, median and q3, the number of pairs the change won, and the median
-gap as a percentage of the parent's median and as a multiple of the parent's
-interquartile range.  It also records the seeds, the Python version and both
-commit ids.
+Reasonable Time" (ISMM 2013).  A drift of the host's speed over the run so
+falls on every workload alike, and on both sides of each pair.  OUT.json
+holds every raw run, with its correct and failed fields, and for each
+workload and end-to-end metric each side's q1, median and q3, the number of
+pairs the change won, the median gap as a percentage of the parent's median
+and as a multiple of the parent's interquartile range, and the q1, median
+and q3 of the per-seed ratio change/parent (Kalibera & Jones' paired
+estimate, which drift between seeds moves less).  It also records the
+seeds, the Python version and both commit ids.
 """
 
 from __future__ import annotations
@@ -50,7 +53,8 @@ def run(checkout: str, workload: str, seed: int, seconds: float) -> dict:
 
 
 def summary(runs: list, spec: dict) -> dict:
-    """Per workload and end-to-end metric: quartiles per side, wins and the median gap."""
+    """Per workload and end-to-end metric: quartiles per side, wins, the median gap, and the
+    quartiles of the per-seed ratio change/parent."""
     out = {}
     for workload in spec["workloads"]:
         name = workload["name"]
@@ -60,7 +64,9 @@ def summary(runs: list, spec: dict) -> dict:
             m, lower = metric["name"], metric["better"] == "lower"
             parent = [by_seed["parent", s][m]["value"] for s in SEEDS]
             change = [by_seed["change", s][m]["value"] for s in SEEDS]
-            pq, cq = (statistics.quantiles(xs, n=4, method="inclusive") for xs in (parent, change))
+            ratios = [c / p for p, c in zip(parent, change)]
+            pq, cq, rq = (statistics.quantiles(xs, n=4, method="inclusive")
+                          for xs in (parent, change, ratios))
             gap, iqr = cq[1] - pq[1], pq[2] - pq[0]
             out[name][m] = {
                 "unit": metric["unit"], "better": metric["better"], "bound": metric["bound"],
@@ -70,6 +76,7 @@ def summary(runs: list, spec: dict) -> dict:
                 "median_gap_pct": 100 * gap / pq[1],
                 "median_gap_over_parent_iqr": gap / iqr if iqr else None,
                 "parent_iqr_pct": 100 * iqr / pq[1],
+                "change_over_parent_ratio_q1_median_q3": rq,
             }
     return out
 
@@ -94,8 +101,8 @@ def main(argv: list) -> int:
                                  check=True).stdout
         subprocess.run(["tar", "-x", "-C", parent_dir], input=archive, check=True)
         sides = {"parent": parent_dir, "change": ROOT}
-        for workload in spec["workloads"]:
-            for seed in SEEDS:
+        for seed in SEEDS:
+            for workload in spec["workloads"]:
                 order = ("parent", "change") if seed % 2 else ("change", "parent")
                 for position, side in enumerate(order, start=1):
                     result = run(sides[side], workload["name"], seed, spec["run_seconds"])

@@ -48,13 +48,9 @@ _ATTRIBUTES_HEADER = ("table", "column", "type", "domain", "units")
 _LABELS_HEADER = ("table", "column", "id", "name", "a", "b", "c", "d")
 _SIMILARITY_HEADER = ("table", "column", "name1", "name2", "degree")
 
-def _is_name(text: str) -> bool:
-    """Whether text is an ASCII identifier, the form of every catalog name."""
-    return text.isascii() and text.isidentifier()
-
-
 def _check_name(name, what: str) -> str:
-    if not isinstance(name, str) or not _is_name(name):
+    """name, when it is an ASCII identifier, the form of every catalog name; else a CatalogError."""
+    if not isinstance(name, str) or not (name.isascii() and name.isidentifier()):
         raise CatalogError(f"{what} must be an identifier, got {name!r}")
     return name
 
@@ -232,6 +228,13 @@ def _label(attr: AttributeDescriptor, name: str) -> LabelDefinition:
     return ld
 
 
+def _element(attr: AttributeDescriptor, name: str) -> str:
+    """name, when it is one of attr's labels, the domain of a scalar column; else a ConversionError."""
+    if attr.find_label(name) is None:
+        raise ConversionError(f"element {name!r} is not in the domain of {attr.qualified}")
+    return name
+
+
 def _edges(attr: AttributeDescriptor, t: Trapezoid) -> Tuple[float, float]:
     """The edge widths (b-a, c-d) a code 7 cell stores; a ConversionError if one overflows."""
     left, right = t.b - t.a, t.c - t.d
@@ -345,15 +348,7 @@ def _decode_scalar(attr: AttributeDescriptor, shared: dict, text: str) -> FuzzyV
         key = (fields[i], fields[i + 1])
         pair = shared.get(key)
         if pair is None:
-            degree = parse_number(fields[i])
-            element = fields[i + 1]
-            # a name is never a number, so float() runs only on the other texts
-            if not _is_name(element):
-                element = _finite(element)
-                if element is None:
-                    raise ConversionError(
-                        f"element {fields[i + 1]!r} is neither a name nor a finite number")
-            pair = shared[key] = (degree, element)
+            pair = shared[key] = (parse_number(fields[i]), _element(attr, fields[i + 1]))
         pairs.append(pair)
     return FuzzyValue(ValueKind.SIMPLE if ft == 3 else ValueKind.POSS_DIST, pairs=tuple(pairs))
 
@@ -361,11 +356,12 @@ def _decode_scalar(attr: AttributeDescriptor, shared: dict, text: str) -> FuzzyV
 def cell_decoder(attr: AttributeDescriptor) -> Callable[[str], FuzzyValue]:
     """The function that reads one cell text of attr's fuzzy column.
 
-    It raises a FuzzyDbError for every malformed cell.  Scalar elements may be
-    any name or finite number; whether they belong to the column's domain is
-    the caller's question.  A scalar decoder gives cells one (degree, element)
-    tuple per distinct pair of field texts it has read (values are frozen), so
-    repeated pairs share one object among the values of one decoder.
+    It raises a FuzzyDbError for every malformed cell.  A scalar element must
+    be one of the column's labels, matched as find_label matches, and keeps
+    its spelling as written.  A scalar decoder checks each distinct pair of
+    field texts once and gives cells one (degree, element) tuple per such
+    pair (values are frozen), so repeated pairs share one object among the
+    values of one decoder.
     """
     if attr.ftype is FuzzyType.FUZZY_ORDERED:
         return functools.partial(_decode_ordered, attr)
@@ -407,9 +403,7 @@ def _encode_scalar(attr: AttributeDescriptor, value: FuzzyValue) -> str:
     if k is ValueKind.SIMPLE or k is ValueKind.POSS_DIST:
         parts = ["3" if k is ValueKind.SIMPLE else "4"]
         for p, e in value.pairs:
-            if isinstance(e, str) and not _is_name(e):  # '5' or 'a;b' would read back otherwise
-                raise ConversionError(f"element {e!r} is not a name (an ASCII identifier)")
-            parts += (format_number(p), e if isinstance(e, str) else format_number(e))
+            parts += (format_number(p), _element(attr, e))
         return ";".join(parts)
     if k in _SPECIAL_TEXTS:
         return _SPECIAL_TEXTS[k]
@@ -420,7 +414,8 @@ def cell_encoder(attr: AttributeDescriptor) -> Callable[[FuzzyValue], str]:
     """The function that writes one value of attr's fuzzy column as the cell text cell_decoder reads.
 
     Numbers are written by format_number, labels by the catalog's spelling,
-    scalar elements as given.  Every value it writes decodes to an equal one
+    scalar elements as given, once each is found to be one of the column's
+    labels (the decoder's check).  Every value it writes decodes to an equal one
     (a code 7 corner may move by an ulp); the rest raise a ConversionError.
     """
     if attr.ftype is FuzzyType.FUZZY_ORDERED:
@@ -434,26 +429,26 @@ def encode_value(value: FuzzyValue, attr: AttributeDescriptor) -> ConversionRow:
     """Flatten a fuzzy value into the row stored for attr's column; inverse of decode_row.
 
     The cell encoder writes the value, and its text is read back as fields:
-    empty ones as None, names as strings and the rest as floats (the text is
-    exact), with an ordered code 4 label as its id and an ordered special
-    padded to four fields.  So the row holds what the cell holds, and a value
-    the encoder refuses raises its ConversionError.
+    a scalar cell's elements as strings and its degrees as floats; an ordered
+    cell's fields as floats (the text is exact), empty ones as None, padded
+    to four, with a code 4 label as its id.  So the row holds what the cell
+    holds, and a value the encoder refuses raises its ConversionError.
     """
     ft, fields = _split(cell_encoder(attr)(value))
-    ordered = attr.ftype is FuzzyType.FUZZY_ORDERED
-    if ordered:
-        fields += [""] * (4 - len(fields))
-    row = [None if not f else f if _is_name(f) else float(f) for f in fields]
-    if ordered and ft == 4:
-        row[0] = float(attr.find_label(row[0]).fuzzy_id)  # the catalog's spelling
-    return ConversionRow(ft, row)
+    if attr.ftype is FuzzyType.FUZZY_SCALAR:  # (degree, element) pairs
+        return ConversionRow(ft, [e if i % 2 else float(e) for i, e in enumerate(fields)])
+    fields += [""] * (4 - len(fields))
+    if ft == 4:  # the label by the catalog's spelling
+        fields[0] = str(attr.find_label(fields[0]).fuzzy_id)
+    return ConversionRow(ft, [float(f) if f else None for f in fields])
 
 
 def decode_row(row: ConversionRow, attr: AttributeDescriptor) -> FuzzyValue:
     """Rebuild the fuzzy value a conversion row encodes; inverse of encode_value.
 
     The fields are written as cell text (repr carries every finite float
-    exactly) and read by the cell decoder, so rows obey the rules of cells.
+    exactly) and read by the cell decoder, so rows obey the rules of cells:
+    a scalar row's elements are the column's labels.
     """
     decode = cell_decoder(attr)
     if attr.ftype is FuzzyType.FUZZY_ORDERED and len(row.fields) != 4:
@@ -561,7 +556,11 @@ class Catalog:
                 raise CatalogError(
                     f"label {name!r} on numeric column {attr.qualified} needs trapezoid corners"
                 )
-            a, b, c, d = (float(x) for x in corners)
+            try:
+                a, b, c, d = (float(x) for x in corners)
+            except (TypeError, ValueError, OverflowError):
+                raise CatalogError(f"label {name!r} on {attr.qualified}: corners must be four "
+                                   f"numbers, got {corners!r}") from None
             if not all(math.isfinite(x) for x in (a, b, c, d)):
                 raise CatalogError(f"label {name!r} on {attr.qualified}: corners must be finite")
             trap = Trapezoid(a, b, c, d)
@@ -629,19 +628,30 @@ def _write_tsv(path, header: Tuple[str, ...], rows: Iterable[list]) -> None:
 
 
 def save_catalog(catalog: Catalog, directory) -> None:
-    """Write the three catalog files, creating the directory if needed."""
+    """Write the three catalog files, creating the directory if needed.
+
+    Each file is replaced whole (atomic_write), and they are written in the
+    reverse of the order load_catalog reads them: similarity.tsv, labels.tsv,
+    then attributes.tsv.  Every catalog edit only adds something (an
+    attribute, a label) or sets a similarity degree, which one file holds,
+    and a file that names what an earlier file does not define is refused
+    with path:line.  So a save torn between two files, after one edit (the
+    CLI saves after each), loads as the old catalog, the new one, or a
+    positioned CatalogError; after several edits, a file already replaced
+    may also bring its edits in without the others.
+    """
     os.makedirs(directory, exist_ok=True)
     attrs = catalog.attributes()
-    _write_tsv(os.path.join(directory, ATTRIBUTES_FILE), _ATTRIBUTES_HEADER, (
-        [a.table, a.column, int(a.ftype), a.domain_kind, a.units or ""] for a in attrs))
-    _write_tsv(os.path.join(directory, LABELS_FILE), _LABELS_HEADER, (
-        [a.table, a.column, ld.fuzzy_id, ld.name,
-         *([format_number(x) for x in ld.trap.corners()] if ld.trap else [""] * 4)]
-        for a in attrs for ld in sorted(a.labels, key=lambda x: x.fuzzy_id)))
     # One line per unordered pair; omitted pairs default to 0.
     _write_tsv(os.path.join(directory, SIMILARITY_FILE), _SIMILARITY_HEADER, (
         [a.table, a.column, name1, name2, format_number(s)]
         for a in attrs if a.similarity is not None for name1, name2, s in a.similarity.pairs()))
+    _write_tsv(os.path.join(directory, LABELS_FILE), _LABELS_HEADER, (
+        [a.table, a.column, ld.fuzzy_id, ld.name,
+         *([format_number(x) for x in ld.trap.corners()] if ld.trap else [""] * 4)]
+        for a in attrs for ld in sorted(a.labels, key=lambda x: x.fuzzy_id)))
+    _write_tsv(os.path.join(directory, ATTRIBUTES_FILE), _ATTRIBUTES_HEADER, (
+        [a.table, a.column, int(a.ftype), a.domain_kind, a.units or ""] for a in attrs))
 
 
 def _read_tsv(path, header: Tuple[str, ...], take: Callable[..., None], required: bool) -> None:

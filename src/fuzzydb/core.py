@@ -26,7 +26,7 @@ import enum
 import math
 import types
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, List, Optional, Tuple, Union
+from typing import Callable, Iterable, List, Optional, Tuple
 
 from .errors import ConversionError, FuzzyValueError, SimilarityError
 
@@ -35,9 +35,8 @@ Degree = float
 
 _INF = math.inf
 
-# A possibility pair: (degree, element). Elements are numbers or scalar names.
-Element = Union[str, float]
-PossPair = Tuple[Degree, Element]
+# A possibility pair: (degree, element). Elements are scalar names.
+PossPair = Tuple[Degree, str]
 
 
 def check_degree(value: float, what: str = "degree") -> float:
@@ -148,6 +147,8 @@ SPECIAL_KINDS = frozenset({ValueKind.UNKNOWN, ValueKind.UNDEFINED, ValueKind.NUL
 class FuzzyValue:
     """One cell value; exactly the payload fields for its kind are set.
 
+    A label's name and each element of a distribution are names (str): an
+    unordered domain is a set of named elements, as a scalar column's labels.
     Use the factory classmethods rather than the raw constructor: they fill in
     the right fields and the validation in __post_init__ assumes that shape.
     """
@@ -168,8 +169,8 @@ class FuzzyValue:
                 raise FuzzyValueError("crisp value requires a number")
             _check_finite(self.number, "crisp value")
         elif k is ValueKind.LABEL:
-            if not self.name:
-                raise FuzzyValueError("label value requires a name")
+            if not isinstance(self.name, str) or not self.name:
+                raise FuzzyValueError(f"label value requires a name, got {self.name!r}")
         elif k is ValueKind.INTERVAL:
             if self.low is None or self.high is None or not -_INF < self.low < self.high < _INF:
                 raise FuzzyValueError(
@@ -231,7 +232,7 @@ class FuzzyValue:
         return cls(ValueKind.TRAPEZOID, trap=trap)
 
     @classmethod
-    def simple(cls, degree: Degree, element: Element) -> "FuzzyValue":
+    def simple(cls, degree: Degree, element: str) -> "FuzzyValue":
         return cls(ValueKind.SIMPLE, pairs=((float(degree), element),))
 
     @classmethod
@@ -245,17 +246,12 @@ def _check_finite(x: float, what: str) -> None:
 
 
 def _check_pair_elements(pairs: Tuple[PossPair, ...]) -> None:
-    """Elements must all be finite numbers or all scalar names, with no duplicates."""
-    named = isinstance(pairs[0][1], str)
+    """Elements must be scalar names (str), with no duplicates."""
     seen = set()
     for _, e in pairs:
-        if isinstance(e, str) is not named:
-            raise FuzzyValueError("distribution elements must be all numeric or all scalar names")
-        if named:
-            key = fold_name(e)
-        else:
-            _check_finite(e, "distribution element")
-            key = float(e)
+        if not isinstance(e, str):
+            raise FuzzyValueError(f"distribution element must be a name, got {e!r}")
+        key = fold_name(e)
         if key in seen:
             raise FuzzyValueError(f"duplicate distribution element {e!r}")
         seen.add(key)
@@ -504,16 +500,9 @@ def _check_values(fn: str, **values) -> None:
             raise FuzzyValueError(f"{fn}: {name} must be a FuzzyValue, got {value!r}")
 
 
-def _position(rel: SimilarityRelation, element: Element) -> int:
-    """element's position in rel's domain; a number or a name outside it is a SimilarityError."""
-    if not isinstance(element, str):
-        raise SimilarityError(f"numeric element {element!r} is not in the similarity domain")
-    return rel.index_of(element)
-
-
 def _similarity_row(value: FuzzyValue, rel: SimilarityRelation) -> List[Degree]:
     """At each domain position i, max over value's pairs (q, e) of min(q, s(i, e)); a label L is {1/L}."""
-    at = [(q, _position(rel, e)) for q, e in value.pairs or ((1.0, value.name),)]
+    at = [(q, rel.index_of(e)) for q, e in value.pairs or ((1.0, value.name),)]
     return [max([min(q, s[j]) for q, j in at]) for s in rel.matrix]
 
 
@@ -630,7 +619,7 @@ def feq_column(operand: FuzzyValue, attr, cells: Iterable) -> List[Degree]:
         for p, d in cell.pairs or ((1.0, cell.name),):
             s = row.get(d)
             if s is None:
-                s = row[d] = weights[_position(rel, d)]
+                s = row[d] = weights[rel.index_of(d)]
             # best = max(best, min(p, s)); each keeps its first argument on a tie
             if s >= p:
                 s = p

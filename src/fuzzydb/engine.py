@@ -112,39 +112,14 @@ def _cell_decoder(attr: AttributeDescriptor) -> Callable[[str], object]:
     """The function that turns one CSV cell of attr's column into its value."""
     if attr.ftype is FuzzyType.PRECISE:
         return parse_number if attr.domain_kind == "numeric" else str.strip
-    decode = cell_decoder(attr)
-    if attr.ftype is FuzzyType.FUZZY_ORDERED:
-        return decode
-
-    def decode_scalar(text: str) -> FuzzyValue:
-        value = decode(text)
-        _check_domain(attr, value)
-        return value
-
-    return decode_scalar
-
-
-def _check_domain(attr: AttributeDescriptor, value: FuzzyValue) -> None:
-    # the codec takes any name or number; a scalar column's domain is its labels
-    for _, element in value.pairs:
-        if not isinstance(element, str) or attr.find_label(element) is None:
-            raise ConversionError(f"element {element!r} is not in the domain of {attr.qualified}")
+    return cell_decoder(attr)
 
 
 def _cell_encoder(attr: AttributeDescriptor) -> Callable[[object], str]:
     """The function that turns one value of attr's column into the CSV cell _cell_decoder reads."""
     if attr.ftype is FuzzyType.PRECISE:
         return _number_cell if attr.domain_kind == "numeric" else _text_cell
-    encode = cell_encoder(attr)
-    if attr.ftype is FuzzyType.FUZZY_ORDERED:
-        return encode
-
-    def encode_scalar(value: FuzzyValue) -> str:
-        text = encode(value)
-        _check_domain(attr, value)
-        return text
-
-    return encode_scalar
+    return cell_encoder(attr)
 
 
 def _not_plain(value, want: str) -> ConversionError:
@@ -566,7 +541,7 @@ def _number_writer(locale: str) -> Callable[[float], str]:
 
 
 def _pairs_text(value: FuzzyValue, number: Callable[[float], str]) -> str:
-    return ", ".join([f"{number(p)}/{e if isinstance(e, str) else number(e)}" for p, e in value.pairs])
+    return ", ".join([f"{number(p)}/{e}" for p, e in value.pairs])
 
 
 # The text of each kind of fuzzy value, given the function that writes its

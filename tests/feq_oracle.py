@@ -36,11 +36,7 @@ def oracle_similarity_eq(a: FuzzyValue, b: FuzzyValue, rel: SimilarityRelation) 
     """
     best = 0.0
     for p, d in _distribution_pairs(a):
-        if not isinstance(d, str):
-            raise SimilarityError(f"numeric element {d!r} is not in the similarity domain")
         for q, e in _distribution_pairs(b):
-            if not isinstance(e, str):
-                raise SimilarityError(f"numeric element {e!r} is not in the similarity domain")
             best = max(best, min(p, q, rel.get(d, e)))
     return best
 

@@ -2,8 +2,10 @@
 
 import copy
 import csv
+import itertools
 import os
 import pickle
+import re
 from unittest import mock
 
 import pytest
@@ -107,6 +109,14 @@ class TestLabels:
         assert str(err.value) == f"label id must be an integer, got {shown}"
         assert small_catalog.get("lots", "finish").find_label("rough") is None
 
+    @pytest.mark.parametrize("corners", [["a", 1, 2, 3], [1, 2, 3], [1, 2, 3, 4, 5], 5,
+                                         [None, 1, 2, 3], [10 ** 400, 1, 2, 3]])
+    def test_corners_must_be_four_numbers(self, small_catalog, corners):
+        with pytest.raises(CatalogError) as err:
+            small_catalog.define_label("lots", "width", "huge", corners)
+        assert str(err.value) == f"label 'huge' on lots.width: corners must be four numbers, got {corners!r}"
+        assert small_catalog.get("lots", "width").find_label("huge") is None
+
     def test_ids_start_at_1(self, small_catalog):
         with pytest.raises(CatalogError) as err:
             small_catalog.define_label("lots", "finish", "rough", fuzzy_id=0)
@@ -206,7 +216,10 @@ def ordered_attr():
 
 
 def scalar_attr():
-    return AttributeDescriptor("t", "tone", 3, "scalar")
+    attr = AttributeDescriptor("t", "tone", 3, "scalar")
+    for fuzzy_id, name in enumerate(("blanco", "cafe"), start=1):
+        attr.attach_label(LabelDefinition(fuzzy_id, name))
+    return attr
 
 
 class TestEncodeDecode:
@@ -249,12 +262,16 @@ class TestEncodeDecode:
         assert (row.ft, row.fields) == (ft, fields)
         assert decode_row(row, attr) == value
 
-    def test_numeric_distribution_elements(self):
-        # the row protocol itself does not require named elements
-        attr = AttributeDescriptor("t", "guess", 3, "scalar")
-        value = FuzzyValue.poss_dist([(0.4, 27.0), (1.0, 28.0), (0.8, 29.0)])
+    def test_scalar_elements_are_the_columns_labels(self):
+        attr = scalar_attr()
+        with pytest.raises(ConversionError, match="element '27' is not in the domain of t.tone"):
+            decode_row(ConversionRow(3, (1.0, "27")), attr)
+        with pytest.raises(ConversionError, match="element 'rosa' is not in the domain of t.tone"):
+            encode_value(FuzzyValue.simple(1, "rosa"), attr)
+        # matched as labels are, and kept as written
+        value = FuzzyValue.poss_dist([(0.4, "BLANCO"), (1.0, "Cafe")])
         row = encode_value(value, attr)
-        assert row == ConversionRow(4, (0.4, 27.0, 1.0, 28.0, 0.8, 29.0))
+        assert row == ConversionRow(4, (0.4, "BLANCO", 1.0, "Cafe"))
         assert decode_row(row, attr) == value
 
     def test_kind_layout_mismatches(self):
@@ -268,7 +285,7 @@ class TestEncodeDecode:
     def test_refuses_what_the_cell_encoder_refuses(self):
         # elements a cell would read back as a number or as two fields
         for element in ("5", "a;b"):
-            with pytest.raises(ConversionError, match="is not a name"):
+            with pytest.raises(ConversionError, match="is not in the domain of t.tone"):
                 encode_value(FuzzyValue.simple(1, element), scalar_attr())
         for attr in (ordered_attr(), scalar_attr()):
             with pytest.raises(ConversionError, match="holds fuzzy values, got 26.0"):
@@ -330,7 +347,7 @@ class TestEncodeDecode:
         attr = ordered_attr()
         assert decode_row(ConversionRow(3, (" 26 ", None, None, None)), attr) == FuzzyValue.crisp(26)
         assert decode_row(ConversionRow(4, ("SMALL", None, None, None)), attr) == FuzzyValue.label("small")
-        assert decode_row(ConversionRow(3, (1.0, "27")), scalar_attr()) == FuzzyValue.simple(1, 27.0)
+        assert decode_row(ConversionRow(3, (1.0, " Cafe ")), scalar_attr()) == FuzzyValue.simple(1, "Cafe")
         for element in ("a b", float("inf")):
             with pytest.raises(ConversionError):
                 decode_row(ConversionRow(3, (1.0, element)), scalar_attr())
@@ -348,6 +365,34 @@ class TestEncodeDecode:
         assert decode_row(row, width) == FuzzyValue.label("wide")
         with pytest.raises(ConversionError):
             encode_value(FuzzyValue.crisp(1), small_catalog.get("lots", "code"))
+
+
+def catalog_files(catalog, directory) -> dict:
+    """The text of each file save_catalog writes for catalog into directory."""
+    save_catalog(catalog, directory)
+    return {name: (directory / name).read_text() for name in sorted(os.listdir(directory))}
+
+
+# Each kind of catalog edit, with the edits that later-read files' rows need
+# made in the same save: a label on a new column, a degree of a new label.
+TORN_EDITS = {
+    "new attribute": lambda cat: cat.register_attribute("lots", "depth", 2, "numeric"),
+    "new attribute and its label": lambda cat: (
+        cat.register_attribute("lots", "depth", 2, "numeric"),
+        cat.define_label("lots", "depth", "deep", (10, 20, 30, 40))),
+    "new scalar attribute, labels and a degree": lambda cat: (
+        cat.register_attribute("lots", "grain", 3, "scalar"),
+        cat.define_label("lots", "grain", "fine"), cat.define_label("lots", "grain", "coarse"),
+        cat.set_similarity("lots", "grain", "fine", "coarse", 0.3)),
+    "ordered label": lambda cat: cat.define_label("lots", "width", "huge", (80, 90, 200, 300)),
+    "scalar label": lambda cat: cat.define_label("lots", "finish", "rough"),
+    "scalar label and its degree": lambda cat: (
+        cat.define_label("lots", "finish", "rough"),
+        cat.set_similarity("lots", "finish", "rough", "gloss", 0.8)),
+    "new degree": lambda cat: cat.set_similarity("lots", "finish", "matte", "gloss", 0.4),
+    "changed degree": lambda cat: cat.set_similarity("lots", "finish", "satin", "gloss", 0.9),
+    "dropped degree": lambda cat: cat.set_similarity("lots", "finish", "satin", "gloss", 0),
+}
 
 
 class TestPersistence:
@@ -400,6 +445,45 @@ class TestPersistence:
             save_catalog(small_catalog, tmp_path)
         after = {name: (tmp_path / name).read_bytes() for name in os.listdir(tmp_path)}
         assert after == before
+
+    @pytest.mark.parametrize("edit", TORN_EDITS)
+    @pytest.mark.parametrize("crash", [(how, k) for how in ("replace", "write") for k in (1, 2, 3)],
+                             ids="{0[0]}{0[1]}".format)
+    def test_torn_save_loads_old_new_or_refused(self, small_catalog, tmp_path, monkeypatch, edit, crash):
+        # the save after the edit fails at the k-th os.replace, or at the k-th file's rows
+        old = catalog_files(small_catalog, tmp_path / "catalog")
+        TORN_EDITS[edit](small_catalog)
+        new = catalog_files(small_catalog, tmp_path / "new")
+        how, k = crash
+        calls = itertools.count(1)
+        if how == "replace":
+            real_replace = os.replace
+
+            def replace(src, dst):
+                if next(calls) == k:
+                    raise OSError("crash")
+                real_replace(src, dst)
+
+            monkeypatch.setattr(os, "replace", replace)
+        else:
+            real_writer = csv.writer
+
+            def writer(f, **kwargs):
+                w = real_writer(f, **kwargs)
+                if next(calls) == k:  # the header is written, then the rows fail
+                    w = mock.Mock(writerow=w.writerow, writerows=mock.Mock(side_effect=OSError("crash")))
+                return w
+
+            monkeypatch.setattr(csv, "writer", writer)
+        with pytest.raises(OSError, match="crash"):
+            save_catalog(small_catalog, tmp_path / "catalog")
+        monkeypatch.undo()
+        try:
+            loaded = load_catalog(tmp_path / "catalog")
+        except CatalogError as exc:
+            assert re.match(r".+\.tsv:\d+: ", str(exc)), str(exc)
+        else:
+            assert catalog_files(loaded, tmp_path / "loaded") in (old, new)
 
     def test_missing_attributes_file(self, tmp_path):
         with pytest.raises(CatalogError):

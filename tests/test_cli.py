@@ -212,7 +212,7 @@ class TestBadInput:
         sql = "SELECT cod_carti FROM cartulina WHERE tono_cara FEQ $blanco THOLD 0.5"
         assert main(["query", sql, "--catalog", str(case_copy), "--data-dir", str(case_copy)]) == 2
         err = capsys.readouterr().err
-        assert "cartulina.csv:4: column tono_cara: element 5.0 is not in the domain of " \
+        assert "cartulina.csv:4: column tono_cara: element '5' is not in the domain of " \
                "cartulina.tono_cara" in err
 
     def test_non_finite_label_corner(self, capsys, case_copy):

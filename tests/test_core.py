@@ -77,7 +77,7 @@ class TestSlottedValues:
     VALUES = [
         FuzzyValue.unknown(), FuzzyValue.null(), FuzzyValue.crisp(-0.0), FuzzyValue.label("alto"),
         FuzzyValue.interval(1, 2), FuzzyValue.approx(3, 0.5), FuzzyValue.trapezoid(1, 2, 3, 4),
-        FuzzyValue.simple(0.5, "rojo"), FuzzyValue.poss_dist([(0.4, 1.5), (1, 2.5)]),
+        FuzzyValue.simple(0.5, "rojo"), FuzzyValue.poss_dist([(0.4, "rosa"), (1, "blanco")]),
     ]
 
     @pytest.mark.parametrize("value", VALUES + [Trapezoid(-1, 0, 0, 2)])
@@ -186,7 +186,7 @@ class TestFuzzyValueValidation:
         with pytest.raises(FuzzyValueError):
             FuzzyValue.poss_dist([(0.5, "matte"), (0.6, "MATTE")])
         with pytest.raises(FuzzyValueError):
-            FuzzyValue.poss_dist([(0.5, 1.0), (0.6, 1.0)])
+            FuzzyValue.poss_dist([(0.5, "matte"), (0.6, "matte")])
 
     def test_distribution_rejects_mixed_elements(self):
         with pytest.raises(FuzzyValueError):
@@ -195,6 +195,21 @@ class TestFuzzyValueValidation:
     def test_label_requires_name(self):
         with pytest.raises(FuzzyValueError):
             FuzzyValue(ValueKind.LABEL)
+
+    @pytest.mark.parametrize("name", [5, "", None, b"alto", 1.5])
+    def test_label_name_is_non_empty_text(self, name):
+        # refused when built, not later by feq, format_cell or render_value
+        with pytest.raises(FuzzyValueError, match="label value requires a name, got "):
+            FuzzyValue.label(name)
+
+    @pytest.mark.parametrize("build", [
+        lambda: FuzzyValue.simple(0.5, 3),
+        lambda: FuzzyValue.poss_dist([(1, 3), (0.5, 4)]),
+        lambda: FuzzyValue.poss_dist([(1, "rojo"), (0.5, None)]),
+    ])
+    def test_distribution_elements_are_names(self, build):
+        with pytest.raises(FuzzyValueError, match="distribution element must be a name, got "):
+            build()
 
     @pytest.mark.parametrize(
         "build",
@@ -456,9 +471,10 @@ class TestSimilarityEq:
         b = FuzzyValue.label("rubio")
         assert similarity_eq(a, b, rel) == 0.4
 
-    def test_numeric_elements_rejected(self, rel):
-        with pytest.raises(SimilarityError):
-            similarity_eq(FuzzyValue.simple(1, 3.0), FuzzyValue.label("rubio"), rel)
+    def test_numeric_elements_rejected(self):
+        # refused when the value is built, so similarity_eq never meets one
+        with pytest.raises(FuzzyValueError, match="distribution element must be a name, got 3.0"):
+            FuzzyValue.simple(1, 3.0)
 
 
 def make_ordered_attr():
@@ -475,15 +491,15 @@ def make_scalar_attr():
 
 
 # Values of every kind, with label names and elements in and out of the
-# attributes' domains, in other spellings, and numeric elements.
+# attributes' domains, and in other spellings.
 ANY_VALUES = [
     FuzzyValue.unknown(), FuzzyValue.undefined(), FuzzyValue.null(),
     FuzzyValue.interval(20, 25), FuzzyValue.approx(26, 3), FuzzyValue.trapezoid(15, 20, 25, 30),
     FuzzyValue.label("young"), FuzzyValue.label("YOUNG"), FuzzyValue.label("vague"),
     FuzzyValue.label("nope"), FuzzyValue.label("rubio"), FuzzyValue.label("Pelirrojo"),
     FuzzyValue.simple(0.5, "rubio"), FuzzyValue.simple(1, "MORENO"), FuzzyValue.simple(1, "nope"),
-    FuzzyValue.simple(0.5, 3.0), FuzzyValue.poss_dist([(0.5, "rubio"), (0.8, "pelirrojo")]),
-    FuzzyValue.poss_dist([(1, "moreno"), (0.5, "nope")]), FuzzyValue.poss_dist([(1, 3), (0.5, 4)]),
+    FuzzyValue.poss_dist([(0.5, "rubio"), (0.8, "pelirrojo")]),
+    FuzzyValue.poss_dist([(1, "moreno"), (0.5, "nope")]),
 ]
 
 
