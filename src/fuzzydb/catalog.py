@@ -3,8 +3,9 @@
 The catalog knows, for every table column, how its values are stored and
 compared (the fuzzy type), which linguistic labels are defined over it, and,
 for unordered domains, the similarity relation between domain elements.  It
-also implements the conversion-row protocol that flattens fuzzy values into
-the numeric records kept in data files.
+also holds the one cell codec, which reads and writes the data-file cells of
+every column, plain (type 1) or fuzzy, and the conversion-row protocol that
+flattens fuzzy values into numeric records.
 
 A catalog persists as three tab-separated files in one directory:
 
@@ -31,14 +32,13 @@ from typing import Callable, Iterable, List, Optional, Sequence, Tuple, Union
 from .core import (
     FuzzyValue,
     SimilarityRelation,
-    SimilarityReport,
     Trapezoid,
     ValueKind,
     fold_name,
     format_number,
-    validate_similarity,
+    plain_number,
 )
-from .errors import CatalogError, ConversionError, FuzzyDbError, undecodable_line
+from .errors import CatalogError, ConversionError, FuzzyDbError, FuzzyValueError, undecodable_line
 
 ATTRIBUTES_FILE = "attributes.tsv"
 LABELS_FILE = "labels.tsv"
@@ -165,8 +165,9 @@ class AttributeDescriptor:
         self._by_id[ld.fuzzy_id] = ld
 
 
-# -- conversion-row protocol ------------------------------------------------
+# -- cell codec and conversion-row protocol ---------------------------------
 #
+# A plain (type 1) cell holds a finite number or text, written as it is.
 # A fuzzy cell is a storage code followed by ';'-separated fields; data files
 # hold it as text, and a ConversionRow holds the same fields as numbers, names
 # and None.  Examples of the text form:
@@ -224,26 +225,23 @@ class ConversionRow:
 def _label(attr: AttributeDescriptor, name: str) -> LabelDefinition:
     ld = attr.find_label(name)
     if ld is None:
-        raise ConversionError(f"label {name!r} is not defined for {attr.qualified}")
+        raise ConversionError(f"label {name!r} is not defined")
     return ld
 
 
 def _element(attr: AttributeDescriptor, name: str) -> str:
     """name, when it is one of attr's labels, the domain of a scalar column; else a ConversionError."""
     if attr.find_label(name) is None:
-        raise ConversionError(f"element {name!r} is not in the domain of {attr.qualified}")
+        raise ConversionError(f"element {name!r} is not in the domain")
     return name
 
 
-def _edges(attr: AttributeDescriptor, t: Trapezoid) -> Tuple[float, float]:
+def _edges(t: Trapezoid) -> Tuple[float, float]:
     """The edge widths (b-a, c-d) a code 7 cell stores; a ConversionError if one overflows."""
     left, right = t.b - t.a, t.c - t.d
     if not (math.isfinite(left) and math.isfinite(right)):
         corners = ", ".join(format_number(x) for x in t.corners())
-        raise ConversionError(
-            f"{attr.qualified}: cannot store trapezoid [{corners}]: "
-            f"its edge width b-a or c-d overflows"
-        )
+        raise ConversionError(f"cannot store trapezoid [{corners}]: its edge width b-a or c-d overflows")
     return left, right
 
 
@@ -308,12 +306,12 @@ def _decode_ordered(attr: AttributeDescriptor, text: str) -> FuzzyValue:
         if ld is None:
             fuzzy_id = _finite(first)
             if fuzzy_id is None:
-                raise ConversionError(f"label {first!r} is not defined for {attr.qualified}")
+                raise ConversionError(f"label {first!r} is not defined")
             if not fuzzy_id.is_integer():
                 raise ConversionError(f"label id must be an integer, got {first!r}")
             ld = attr.label_by_id(int(fuzzy_id))
             if ld is None:
-                raise ConversionError(f"no label of {attr.qualified} has id {int(fuzzy_id)}")
+                raise ConversionError(f"no label has id {int(fuzzy_id)}")
         return FuzzyValue.label(ld.name)
     if ft == 5:
         return FuzzyValue.interval(parse_number(first), parse_number(last))
@@ -353,34 +351,39 @@ def _decode_scalar(attr: AttributeDescriptor, shared: dict, text: str) -> FuzzyV
     return FuzzyValue(ValueKind.SIMPLE if ft == 3 else ValueKind.POSS_DIST, pairs=tuple(pairs))
 
 
-def cell_decoder(attr: AttributeDescriptor) -> Callable[[str], FuzzyValue]:
-    """The function that reads one cell text of attr's fuzzy column.
+def cell_decoder(attr: AttributeDescriptor) -> Callable[[str], object]:
+    """The function that reads one cell text of attr's column: a plain value or a FuzzyValue.
 
-    It raises a FuzzyDbError for every malformed cell.  A scalar element must
-    be one of the column's labels, matched as find_label matches, and keeps
-    its spelling as written.  A scalar decoder checks each distinct pair of
-    field texts once and gives cells one (degree, element) tuple per such
-    pair (values are frozen), so repeated pairs share one object among the
-    values of one decoder.
+    A plain (type 1) cell is a finite number on a numeric domain and stripped
+    text on any other.  It raises a FuzzyDbError for every malformed cell.  A
+    scalar element must be one of the column's labels, matched as find_label
+    matches, and keeps its spelling as written.  A scalar decoder checks each
+    distinct pair of field texts once and gives cells one (degree, element)
+    tuple per such pair (values are frozen), so repeated pairs share one
+    object among the values of one decoder.
     """
     if attr.ftype is FuzzyType.FUZZY_ORDERED:
         return functools.partial(_decode_ordered, attr)
     if attr.ftype is FuzzyType.FUZZY_SCALAR:
         return functools.partial(_decode_scalar, attr, {})
-    raise ConversionError(f"column {attr.qualified} stores plain values, not conversion rows")
+    return parse_number if attr.domain_kind == "numeric" else str.strip
 
 
 _SPECIAL_TEXTS = {kind: str(ft) for ft, kind in enumerate(_SPECIAL_KINDS)}
 
 
-def _kind(attr: AttributeDescriptor, value) -> ValueKind:
+def _not_stored(kind: ValueKind, layout: str) -> ConversionError:
+    return ConversionError(f"{kind.value} value cannot be stored in {layout} column")
+
+
+def _kind(value) -> ValueKind:
     if not isinstance(value, FuzzyValue):
-        raise ConversionError(f"{attr.qualified} holds fuzzy values, got {value!r}")
+        raise ConversionError(f"expected a fuzzy value, got {value!r}")
     return value.kind
 
 
 def _encode_ordered(attr: AttributeDescriptor, value: FuzzyValue) -> str:
-    k, num = _kind(attr, value), format_number
+    k, num = _kind(value), format_number
     if k is ValueKind.CRISP:
         return f"3;{num(value.number)};;;"
     if k is ValueKind.LABEL:  # by name, as the catalog spells it
@@ -392,14 +395,14 @@ def _encode_ordered(attr: AttributeDescriptor, value: FuzzyValue) -> str:
         return f"6;{num(d)};{num(d - g)};{num(d + g)};{num(g)}"
     if k is ValueKind.TRAPEZOID:
         t = value.trap
-        return ";".join(("7", *map(num, (t.a, *_edges(attr, t), t.d))))
+        return ";".join(("7", *map(num, (t.a, *_edges(t), t.d))))
     if k in _SPECIAL_TEXTS:
         return _SPECIAL_TEXTS[k]
-    raise ConversionError(f"{k.value} value cannot be stored in ordered column {attr.qualified}")
+    raise _not_stored(k, "an ordered")
 
 
 def _encode_scalar(attr: AttributeDescriptor, value: FuzzyValue) -> str:
-    k = _kind(attr, value)
+    k = _kind(value)
     if k is ValueKind.SIMPLE or k is ValueKind.POSS_DIST:
         parts = ["3" if k is ValueKind.SIMPLE else "4"]
         for p, e in value.pairs:
@@ -407,22 +410,44 @@ def _encode_scalar(attr: AttributeDescriptor, value: FuzzyValue) -> str:
         return ";".join(parts)
     if k in _SPECIAL_TEXTS:
         return _SPECIAL_TEXTS[k]
-    raise ConversionError(f"{k.value} value cannot be stored in scalar column {attr.qualified}")
+    raise _not_stored(k, "a scalar")
 
 
-def cell_encoder(attr: AttributeDescriptor) -> Callable[[FuzzyValue], str]:
-    """The function that writes one value of attr's fuzzy column as the cell text cell_decoder reads.
+def _encode_number(value) -> str:
+    if isinstance(value, FuzzyValue):
+        raise _not_stored(value.kind, "a plain")
+    return format_number(plain_number(value))  # a FuzzyValueError for inf and nan
 
-    Numbers are written by format_number, labels by the catalog's spelling,
-    scalar elements as given, once each is found to be one of the column's
-    labels (the decoder's check).  Every value it writes decodes to an equal one
-    (a code 7 corner may move by an ulp); the rest raise a ConversionError.
+
+def _encode_text(value) -> str:
+    if isinstance(value, str) and value == value.strip():  # the decoder strips
+        return value
+    if isinstance(value, FuzzyValue):
+        raise _not_stored(value.kind, "a plain")
+    raise ConversionError(f"expected text with no surrounding whitespace, got {value!r}")
+
+
+def cell_encoder(attr: AttributeDescriptor) -> Callable[[object], str]:
+    """The function that writes one value of attr's column as the cell text cell_decoder reads.
+
+    Numbers are written by format_number, plain text as given once it has no
+    surrounding whitespace, labels by the catalog's spelling, scalar elements
+    as given, once each is found to be one of the column's labels (the
+    decoder's check).  Every value it writes decodes to an equal one (a code 7
+    corner may move by an ulp); the rest raise a ConversionError (a plain inf
+    or nan a FuzzyValueError).
     """
     if attr.ftype is FuzzyType.FUZZY_ORDERED:
         return functools.partial(_encode_ordered, attr)
     if attr.ftype is FuzzyType.FUZZY_SCALAR:
         return functools.partial(_encode_scalar, attr)
-    raise ConversionError(f"column {attr.qualified} stores plain values, not conversion rows")
+    return _encode_number if attr.domain_kind == "numeric" else _encode_text
+
+
+def _check_fuzzy(attr: AttributeDescriptor) -> None:
+    """Refuse a plain column, which stores no conversion rows."""
+    if attr.ftype is FuzzyType.PRECISE:
+        raise ConversionError(f"column {attr.qualified} stores plain values, not conversion rows")
 
 
 def encode_value(value: FuzzyValue, attr: AttributeDescriptor) -> ConversionRow:
@@ -432,9 +457,14 @@ def encode_value(value: FuzzyValue, attr: AttributeDescriptor) -> ConversionRow:
     a scalar cell's elements as strings and its degrees as floats; an ordered
     cell's fields as floats (the text is exact), empty ones as None, padded
     to four, with a code 4 label as its id.  So the row holds what the cell
-    holds, and a value the encoder refuses raises its ConversionError.
+    holds, and a value the encoder refuses raises its error, with the
+    column's name in front.
     """
-    ft, fields = _split(cell_encoder(attr)(value))
+    _check_fuzzy(attr)
+    try:
+        ft, fields = _split(cell_encoder(attr)(value))
+    except FuzzyDbError as exc:
+        raise ConversionError(f"{attr.qualified}: {exc}") from None
     if attr.ftype is FuzzyType.FUZZY_SCALAR:  # (degree, element) pairs
         return ConversionRow(ft, [e if i % 2 else float(e) for i, e in enumerate(fields)])
     fields += [""] * (4 - len(fields))
@@ -446,25 +476,20 @@ def encode_value(value: FuzzyValue, attr: AttributeDescriptor) -> ConversionRow:
 def decode_row(row: ConversionRow, attr: AttributeDescriptor) -> FuzzyValue:
     """Rebuild the fuzzy value a conversion row encodes; inverse of encode_value.
 
-    The fields are written as cell text (repr carries every finite float
-    exactly) and read by the cell decoder, so rows obey the rules of cells:
-    a scalar row's elements are the column's labels.
+    The fields are written as cell text (repr carries every float exactly)
+    and read by the cell decoder, so rows obey the rules of cells: numbers
+    are finite, and a scalar row's elements are the column's labels.
     """
-    decode = cell_decoder(attr)
+    _check_fuzzy(attr)
     if attr.ftype is FuzzyType.FUZZY_ORDERED and len(row.fields) != 4:
         raise ConversionError(f"{attr.qualified}: ordered rows carry four fields, got {len(row.fields)}")
     parts = [str(row.ft)]
     for x in row.fields:
         if isinstance(x, str) and ";" in x:
             raise ConversionError(f"{attr.qualified}: a field holds ';', got {x!r}")
-        if x is None or isinstance(x, str):
-            parts.append(x or "")
-        elif math.isfinite(x):
-            parts.append(repr(float(x)))
-        else:
-            raise ConversionError(f"{attr.qualified}: expected a finite number, got {x!r}")
+        parts.append((x or "") if x is None or isinstance(x, str) else repr(float(x)))
     try:
-        return decode(";".join(parts))
+        return cell_decoder(attr)(";".join(parts))
     except FuzzyDbError as exc:
         raise ConversionError(f"{attr.qualified}: {exc}") from None
 
@@ -557,13 +582,14 @@ class Catalog:
                     f"label {name!r} on numeric column {attr.qualified} needs trapezoid corners"
                 )
             try:
-                a, b, c, d = (float(x) for x in corners)
+                if isinstance(corners, (str, bytes)):  # its characters are not corners
+                    raise TypeError
+                trap = Trapezoid(*map(float, corners))
             except (TypeError, ValueError, OverflowError):
                 raise CatalogError(f"label {name!r} on {attr.qualified}: corners must be four "
                                    f"numbers, got {corners!r}") from None
-            if not all(math.isfinite(x) for x in (a, b, c, d)):
-                raise CatalogError(f"label {name!r} on {attr.qualified}: corners must be finite")
-            trap = Trapezoid(a, b, c, d)
+            except FuzzyValueError as exc:  # corners not finite, or out of order
+                raise CatalogError(f"label {name!r} on {attr.qualified}: {exc}") from None
         else:
             if attr.ftype is not FuzzyType.FUZZY_SCALAR:
                 raise CatalogError(f"{attr.qualified} does not admit labels")
@@ -592,11 +618,6 @@ class Catalog:
             raise CatalogError(f"{attr.qualified} is not an unordered fuzzy column")
         rel = attr.similarity
         return attr, rel.index_of(name1, keys[0]), rel.index_of(name2, keys[1])
-
-    def validate(self) -> List[Tuple[AttributeDescriptor, SimilarityReport]]:
-        """Run the similarity checks for every unordered column (each has a relation)."""
-        return [(attr, validate_similarity(attr.similarity))
-                for attr in self._attrs.values() if attr.similarity is not None]
 
 
 # -- persistence --------------------------------------------------------------

@@ -365,8 +365,8 @@ class SimilarityRelation:
     """Square [0, 1] matrix over an unordered scalar domain.
 
     Element names match case-insensitively.  The raw constructor stores the
-    matrix as given (so a relation read from a file can be validated); use
-    identity() or add() plus set_degree() to build a well-formed relation.
+    matrix as given (validate_similarity reports what it breaks); identity(),
+    add() and set_at() keep a relation reflexive, symmetric and in [0, 1].
     """
 
     domain: Tuple[str, ...]

@@ -2,8 +2,9 @@
 
 Tables live in CSV files, one per table, whose header names the columns.
 Plain columns hold their value directly; fuzzy columns hold the cell text of
-the conversion-row protocol, which catalog.py describes and decodes.  Files
-are UTF-8 and may start with a byte order mark.
+the conversion-row protocol.  catalog.py's cell codec reads and writes the
+cells of every column, plain or fuzzy.  Files are UTF-8 and may start with a
+byte order mark.
 
 load_table decodes each cell text once per column: one decoder per column
 reads the text, repeated plain cells and cells of the small-vocabulary kinds
@@ -25,9 +26,10 @@ A Result holds its columns as execute builds them, and format_result
 renders them a column at a time: each distinct cell object of a column
 becomes text once, through one table of text functions by value kind
 (_KIND_TEXT, which render_value uses too), and the lines are joined from the
-column texts, byte for byte as rendering row by row would write them.  _per_distinct is the one "once per distinct cell
-object" rule, of the writer and the renderer.  execute holds no degree
-arithmetic: each condition is one call of core.feq_column over its column.
+column texts, byte for byte as rendering row by row would write them.
+_per_distinct is the one "once per distinct cell object" rule, of the
+writer and the renderer.  execute holds no degree arithmetic: each
+condition is one call of core.feq_column over its column.
 The kernel, save_table and format_result read a plain cell that is not text
 through one function, core.plain_number (format_number checks a float itself).
 """
@@ -46,15 +48,7 @@ from dataclasses import dataclass, field
 from itertools import compress, repeat
 from typing import Callable, Dict, Iterable, List, Optional
 
-from .catalog import (
-    AttributeDescriptor,
-    Catalog,
-    FuzzyType,
-    atomic_write,
-    cell_decoder,
-    cell_encoder,
-    parse_number,
-)
+from .catalog import AttributeDescriptor, Catalog, atomic_write, cell_decoder, cell_encoder
 from .core import FuzzyValue, ValueKind, feq_column, fold_name, format_number, plain_number
 from .errors import ConversionError, DataFileError, FuzzyDbError, undecodable_line
 from .fsql.compiler import (
@@ -108,37 +102,6 @@ def _per_distinct(fn: Callable[[Iterable], Iterable], column) -> list:
     return list(map(done.__getitem__, keys))
 
 
-def _cell_decoder(attr: AttributeDescriptor) -> Callable[[str], object]:
-    """The function that turns one CSV cell of attr's column into its value."""
-    if attr.ftype is FuzzyType.PRECISE:
-        return parse_number if attr.domain_kind == "numeric" else str.strip
-    return cell_decoder(attr)
-
-
-def _cell_encoder(attr: AttributeDescriptor) -> Callable[[object], str]:
-    """The function that turns one value of attr's column into the CSV cell _cell_decoder reads."""
-    if attr.ftype is FuzzyType.PRECISE:
-        return _number_cell if attr.domain_kind == "numeric" else _text_cell
-    return cell_encoder(attr)
-
-
-def _not_plain(value, want: str) -> ConversionError:
-    got = f"fuzzy value {render_value(value)}" if isinstance(value, FuzzyValue) else repr(value)
-    return ConversionError(f"expected {want}, got {got}")
-
-
-def _number_cell(value) -> str:
-    if isinstance(value, FuzzyValue):
-        raise _not_plain(value, "a number")
-    return format_number(plain_number(value))  # a FuzzyValueError for inf and nan
-
-
-def _text_cell(value) -> str:
-    if isinstance(value, str) and value == value.strip():  # the reader strips
-        return value
-    raise _not_plain(value, "text with no surrounding whitespace")
-
-
 def parse_cell(text: str, attr: AttributeDescriptor):
     """Parse one CSV cell for attr; returns a plain value or a FuzzyValue.
 
@@ -146,7 +109,7 @@ def parse_cell(text: str, attr: AttributeDescriptor):
     and nan are rejected like any other non-number.
     """
     try:
-        return _cell_decoder(attr)(text)
+        return cell_decoder(attr)(text)
     except FuzzyDbError as exc:
         raise DataFileError(str(exc)) from None
 
@@ -157,7 +120,7 @@ def format_cell(value, attr: AttributeDescriptor) -> str:
     It is the cell save_table writes.  A value that parse_cell would reject
     or read differently raises a FuzzyDbError instead.
     """
-    return _cell_encoder(attr)(value)
+    return cell_encoder(attr)(value)
 
 
 @dataclass
@@ -277,7 +240,7 @@ def load_table(
             # Per column: where its cells sit, its decoder, and the values already
             # decoded from each cell text, which repeated cells share (values are
             # frozen, plain ones immutable).
-            columns = [(attr, src, _cell_decoder(attr), {}) for attr, src in zip(schema, source[1])]
+            columns = [(attr, src, cell_decoder(attr), {}) for attr, src in zip(schema, source[1])]
             decoded = 0
             for line in f:
                 cells = known.get(line)
@@ -358,7 +321,7 @@ def save_table(table: Table, path) -> None:
         if len(row) != len(schema):
             raise ConversionError(
                 f"{path}:{_line_of(table.rows, r)}: expected {len(schema)} cells, found {len(row)}")
-    encoders = [_cell_encoder(attr) for attr in schema]
+    encoders = [cell_encoder(attr) for attr in schema]
     try:
         columns = [_per_distinct(functools.partial(_encoded, encode), column)
                    for encode, column in zip(encoders, zip(*table.rows))]

@@ -212,8 +212,7 @@ class TestBadInput:
         sql = "SELECT cod_carti FROM cartulina WHERE tono_cara FEQ $blanco THOLD 0.5"
         assert main(["query", sql, "--catalog", str(case_copy), "--data-dir", str(case_copy)]) == 2
         err = capsys.readouterr().err
-        assert "cartulina.csv:4: column tono_cara: element '5' is not in the domain of " \
-               "cartulina.tono_cara" in err
+        assert "cartulina.csv:4: column tono_cara: element '5' is not in the domain\n" in err
 
     def test_non_finite_label_corner(self, capsys, case_copy):
         path = case_copy / "labels.tsv"
@@ -418,17 +417,20 @@ class TestCatalogCommands:
 
     def test_editing_workflow(self, capsys, tmp_path):
         d = str(tmp_path)
-        assert main(["catalog", "add-attr", "lots.grade", "--type", "3", "--domain", "scalar", "--catalog", d]) == 0
-        assert main(["catalog", "add-label", "lots.grade", "good", "--catalog", d]) == 0
-        assert main(["catalog", "add-label", "lots.grade", "fair", "--catalog", d]) == 0
-        assert main(["catalog", "set-sim", "lots.grade", "good", "fair", "0.7", "--catalog", d]) == 0
-        assert main(["catalog", "add-attr", "lots.width", "--type", "2", "--units", "cm", "--catalog", d]) == 0
-        assert main(
-            ["catalog", "add-label", "lots.width", "narrow", "--corners", "0", "0", "10", "20", "--catalog", d]
-        ) == 0
-        capsys.readouterr()
-        assert main(["catalog", "show", "--catalog", d]) == 0
-        out = capsys.readouterr().out
+        edits = [
+            ["add-attr", "lots.grade", "--type", "3", "--domain", "scalar"],
+            ["add-label", "lots.grade", "good"],
+            ["add-label", "lots.grade", "fair"],
+            ["set-sim", "lots.grade", "good", "fair", "0.7"],
+            ["add-attr", "lots.width", "--type", "2", "--units", "cm"],
+            ["add-label", "lots.width", "narrow", "--corners", "0", "0", "10", "20"],
+        ]
+        for edit in edits:
+            assert main(["catalog", *edit, "--catalog", d]) == 0
+            capsys.readouterr()
+            assert main(["catalog", "show", "--catalog", d]) == 0
+            out, err = capsys.readouterr()
+            assert err == ""
         assert "lots.grade: type 3, scalar" in out
         assert "good~fair=0.7" in out
         assert "narrow(1) $[0, 0, 10, 20]" in out

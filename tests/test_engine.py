@@ -128,6 +128,48 @@ class TestCellCodec:
         name = case_catalog.get("cartulina", "impresion")
         assert parse_cell("Offset", name) == "Offset"
 
+    # The plain cell codec on cartulina's numeric and text columns, case by
+    # case: each value's repr or each text byte for byte, else the error class.
+    @pytest.mark.parametrize("column, text, expected", [
+        ("cod_carti", "-0.0", "-0.0"), ("cod_carti", "-0", "-0.0"), ("cod_carti", " 1e300 ", "1e+300"),
+        ("cod_carti", "3.50", "3.5"), ("cod_carti", "1_000", "1000.0"), ("cod_carti", "1e309", DataFileError),
+        ("cod_carti", "True", DataFileError), ("cod_carti", "inf", DataFileError),
+        ("cod_carti", "nan", DataFileError), ("cod_carti", " ", DataFileError),
+        ("cod_carti", " Offset", DataFileError), ("cod_carti", "3;1;blanco", DataFileError),
+        ("impresion", " Offset ", "'Offset'"), ("impresion", " ", "''"), ("impresion", "-0.0", "'-0.0'"),
+        ("impresion", "True", "'True'"), ("impresion", "3;1;blanco", "'3;1;blanco'"),
+    ])
+    def test_parse_plain_cases(self, case_catalog, column, text, expected):
+        attr = case_catalog.get("cartulina", column)
+        if isinstance(expected, str):
+            assert repr(parse_cell(text, attr)) == expected
+        else:
+            with pytest.raises(FuzzyDbError) as err:
+                parse_cell(text, attr)
+            assert type(err.value) is expected
+
+    @pytest.mark.parametrize("column, value, expected", [
+        ("cod_carti", -0.0, "-0.0"), ("cod_carti", 0.0, "0"), ("cod_carti", 1e300, "1e+300"),
+        ("cod_carti", 5e-324, "5e-324"), ("cod_carti", True, "1"), ("cod_carti", 3, "3"),
+        ("cod_carti", 10 ** 400, ConversionError), ("cod_carti", math.inf, FuzzyValueError),
+        ("cod_carti", math.nan, FuzzyValueError), ("cod_carti", " Offset", ConversionError),
+        ("cod_carti", "3", ConversionError), ("cod_carti", None, ConversionError),
+        ("cod_carti", FuzzyValue.crisp(3), ConversionError), ("cod_carti", FuzzyValue.null(), ConversionError),
+        ("impresion", "Offset", "Offset"), ("impresion", "", ""), ("impresion", "a\nb", "a\nb"),
+        ("impresion", " Offset", ConversionError), ("impresion", "Offset ", ConversionError),
+        ("impresion", -0.0, ConversionError), ("impresion", 1e300, ConversionError),
+        ("impresion", True, ConversionError), ("impresion", 10 ** 400, ConversionError),
+        ("impresion", None, ConversionError), ("impresion", FuzzyValue.label("x"), ConversionError),
+    ])
+    def test_format_plain_cases(self, case_catalog, column, value, expected):
+        attr = case_catalog.get("cartulina", column)
+        if isinstance(expected, str):
+            assert format_cell(value, attr).encode() == expected.encode()
+        else:
+            with pytest.raises(FuzzyDbError) as err:
+                format_cell(value, attr)
+            assert type(err.value) is expected
+
     @pytest.mark.parametrize(
         "text",
         [
@@ -210,9 +252,7 @@ class TestCellCodec:
         )
         with pytest.raises(DataFileError) as err:
             load_table(path, "cartulina", case_catalog)
-        assert str(err.value) == (
-            f"{path}:3: column tono_cara: element '5' is not in the domain of cartulina.tono_cara"
-        )
+        assert str(err.value) == f"{path}:3: column tono_cara: element '5' is not in the domain"
 
     @pytest.mark.parametrize(
         "layout,row,text",
@@ -273,9 +313,11 @@ class TestCellCodec:
 
     def test_trapezoid_with_overflowing_edge_is_not_stored(self, width_attr):
         value = FuzzyValue.trapezoid(-1e308, 1e308, 1e308, 1e308)
-        for store in (format_cell, encode_value):
-            with pytest.raises(ConversionError, match="pilas.formato_largo: .* overflows"):
-                store(value, width_attr)
+        message = r"cannot store trapezoid \[-1e\+308, 1e\+308, 1e\+308, 1e\+308\]: .* overflows$"
+        with pytest.raises(ConversionError, match="^" + message):
+            format_cell(value, width_attr)
+        with pytest.raises(ConversionError, match="^pilas.formato_largo: " + message):
+            encode_value(value, width_attr)
 
 
 # Extreme finite doubles, which every text form must carry exactly.
@@ -703,18 +745,14 @@ class TestSaveTable:
             assert (tmp_path / "columns.csv").read_bytes() == (tmp_path / "cells.csv").read_bytes()
 
     @pytest.mark.parametrize("column, value, message", [
-        ("tono_cara", FuzzyValue.simple(0.5, "verde_lima"),
-         "element 'verde_lima' is not in the domain of cartulina.tono_cara"),
-        ("tono_cara", FuzzyValue.simple(0.5, "a;b"),
-         "element 'a;b' is not in the domain of cartulina.tono_cara"),
-        ("tono_cara", FuzzyValue.simple(0.5, "5"), "element '5' is not in the domain of cartulina.tono_cara"),
-        ("tono_cara", 0.5, "cartulina.tono_cara holds fuzzy values, got 0.5"),
-        ("tono_cara", FuzzyValue.crisp(3), "crisp value cannot be stored in scalar column "
-                                           "cartulina.tono_cara"),
-        ("cod_carti", FuzzyValue.crisp(3), "expected a number, got fuzzy value 3"),
+        ("tono_cara", FuzzyValue.simple(0.5, "verde_lima"), "element 'verde_lima' is not in the domain"),
+        ("tono_cara", FuzzyValue.simple(0.5, "a;b"), "element 'a;b' is not in the domain"),
+        ("tono_cara", FuzzyValue.simple(0.5, "5"), "element '5' is not in the domain"),
+        ("tono_cara", 0.5, "expected a fuzzy value, got 0.5"),
+        ("tono_cara", FuzzyValue.crisp(3), "crisp value cannot be stored in a scalar column"),
+        ("cod_carti", FuzzyValue.crisp(3), "crisp value cannot be stored in a plain column"),
         ("cod_carti", "3", "expected a number, got '3'"),
-        ("impresion", FuzzyValue.label("x"),
-         "expected text with no surrounding whitespace, got fuzzy value $x"),
+        ("impresion", FuzzyValue.label("x"), "label value cannot be stored in a plain column"),
         ("impresion", " Offset", "expected text with no surrounding whitespace, got ' Offset'"),
     ])
     def test_unloadable_cell_is_refused_before_anything_is_written(
@@ -740,7 +778,7 @@ class TestSaveTable:
         path = tmp_path / "p.csv"
         with pytest.raises(ConversionError) as err:
             save_table(table, path)
-        assert str(err.value) == f"{path}:4: column pelo: personas.pelo holds fuzzy values, got 0.5"
+        assert str(err.value) == f"{path}:4: column pelo: expected a fuzzy value, got 0.5"
         table.rows[1][2] = null
         save_table(table, path)
         path.write_text(path.read_text().replace("Luis,2,2", "Luis,2,0.5"))
@@ -763,8 +801,7 @@ class TestSaveTable:
         table.rows[5][0] = " padded"  # line 7, the first column
         with pytest.raises(ConversionError) as err:
             save_table(table, tmp_path / "personas.csv")
-        assert str(err.value) == (f"{tmp_path / 'personas.csv'}:3: column edad: "
-                                  "personas.edad holds fuzzy values, got 'bad'")
+        assert str(err.value) == f"{tmp_path / 'personas.csv'}:3: column edad: expected a fuzzy value, got 'bad'"
 
     def test_text_too_long_for_the_reader_is_refused(self, tmp_path, case_catalog, case_tables):
         limit = csv.field_size_limit()
